@@ -6,6 +6,13 @@ recovered span is verified to cover the exact mention the model enclosed.
 Spans the alignment cannot place verbatim are relocated by exact substring
 search, and dropped with a warning as a last resort, so a recovered
 annotation is always a verbatim occurrence of the enclosed mention.
+
+Alignment pairs tokens by a longest common subsequence: the common prefix
+and suffix are paired directly, tokens missing from the other side are
+dropped, and Myers' O(ND) difference algorithm pairs the rest within a
+fixed work budget. Only gaps of bounded length are refined character by
+character, so alignment, like JSON block extraction, takes near-linear
+time and recurses nowhere.
 """
 
 from __future__ import annotations
@@ -13,18 +20,25 @@ from __future__ import annotations
 import difflib
 import json
 import re
-from bisect import bisect_right
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .domain import AnnotatedDocument, Annotation, EntitySchema
 from .errors import ConfigError, ParseError
 
 _TOKEN_RE = re.compile(r"\S+")
+_JSON_SYNTAX_RE = re.compile(r'[{}"\\]')
 
-# Above this product of token counts the quadratic LCS table is not worth
-# building; difflib's matching blocks are still monotone, just not maximal.
-_LCS_LIMIT = 1_000_000
+# Work (edit-graph cells plus diagonal moves, checked once per round) the
+# token diff may spend, about half a second in CPython; past it the unpaired
+# middle falls back to exact search.
+_DIFF_BUDGET = 1_000_000
+
+# Longest gap, in characters on either side, refined by difflib, whose cost
+# grows with the product of the two lengths; longer gaps map proportionally.
+_REFINE_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -47,6 +61,12 @@ class AlignmentMap:
     """
 
     segments: tuple[AlignedSegment, ...]
+    _starts: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_starts", [seg.stripped_start for seg in self.segments]
+        )
 
     def map_offset(self, offset: int, *, prefer_end: bool = False) -> tuple[int, float]:
         """Map one stripped offset to an original offset and region quality.
@@ -56,11 +76,10 @@ class AlignmentMap:
         """
         if not self.segments:
             return 0, 0.0
-        starts = [seg.stripped_start for seg in self.segments]
         if prefer_end:
-            index = bisect_right(starts, offset - 1) - 1 if offset > 0 else 0
+            index = bisect_right(self._starts, offset - 1) - 1 if offset > 0 else 0
         else:
-            index = bisect_right(starts, offset) - 1
+            index = bisect_right(self._starts, offset) - 1
         index = max(0, min(index, len(self.segments) - 1))
         seg = self.segments[index]
         offset = max(seg.stripped_start, min(offset, seg.stripped_end))
@@ -81,7 +100,8 @@ class AlignmentMap:
         mapped_start, start_quality = self.map_offset(start)
         mapped_end, end_quality = self.map_offset(end, prefer_end=True)
         quality = min(start_quality, end_quality)
-        for seg in self.segments:
+        first = max(0, bisect_right(self._starts, start) - 1)
+        for seg in self.segments[first : bisect_left(self._starts, end)]:
             if seg.stripped_start < end and seg.stripped_end > start:
                 quality = min(quality, seg.quality)
         if mapped_end < mapped_start:
@@ -97,40 +117,85 @@ class ParseReport:
     warnings: tuple[str, ...]
 
 
-def _lcs_token_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]]:
-    """Index pairs of a longest common subsequence of the two token lists."""
+def _myers_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]] | None:
+    """Index pairs of a longest common subsequence, by Myers' greedy search.
+
+    Round ``d`` records the furthest point reached on every diagonal with
+    ``d`` insertions and deletions (Myers 1986, "An O(ND) Difference
+    Algorithm and Its Variations"); the path is then traced back through
+    the recorded rounds. Returns None once ``_DIFF_BUDGET`` is spent.
+    """
     if not a or not b:
         return []
-    if len(a) * len(b) > _LCS_LIMIT:
-        matcher = difflib.SequenceMatcher(None, a, b, autojunk=False)
-        return [
-            (i + k, j + k)
-            for i, j, size in matcher.get_matching_blocks()
-            for k in range(size)
-        ]
-    rows = len(a) + 1
-    cols = len(b) + 1
-    table = [[0] * cols for _ in range(rows)]
-    for i in range(len(a) - 1, -1, -1):
-        row = table[i]
-        below = table[i + 1]
-        for j in range(len(b) - 1, -1, -1):
-            if a[i] == b[j]:
-                row[j] = below[j + 1] + 1
+    n, m = len(a), len(b)
+    offset = n + m + 1
+    v = [0] * (2 * offset + 1)
+    rounds: list[array] = []
+    spent = 0
+    while v[offset + n - m] < n:
+        d = len(rounds)
+        spent += d + 1
+        if spent > _DIFF_BUDGET:
+            return None
+        for k in range(-d, d + 1, 2):
+            if k == -d or (k != d and v[offset + k - 1] < v[offset + k + 1]):
+                x = v[offset + k + 1]
             else:
-                row[j] = max(below[j], row[j + 1])
+                x = v[offset + k - 1] + 1
+            y = x - k
+            start = x
+            while x < n and y < m and a[x] == b[y]:
+                x += 1
+                y += 1
+            spent += x - start
+            v[offset + k] = x
+        rounds.append(array("q", v[offset - d : offset + d + 1 : 2]))
     pairs: list[tuple[int, int]] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            pairs.append((i, j))
-            i += 1
-            j += 1
-        elif table[i + 1][j] >= table[i][j + 1]:
-            i += 1
-        else:
-            j += 1
+    x, y = n, m
+    for d in range(len(rounds) - 1, 0, -1):
+        prev = rounds[d - 1]
+        k = x - y
+        down = k == -d or (k != d and prev[(k + d - 2) // 2] < prev[(k + d) // 2])
+        prev_k = k + 1 if down else k - 1
+        prev_x = prev[(prev_k + d - 1) // 2]
+        snake_x = prev_x if down else prev_x + 1
+        while x > snake_x:
+            x -= 1
+            y -= 1
+            pairs.append((x, y))
+        x, y = prev_x, prev_x - prev_k
+    while x > 0:
+        x -= 1
+        y -= 1
+        pairs.append((x, y))
+    pairs.reverse()
     return pairs
+
+
+def _common_token_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]]:
+    """Index pairs of a longest common subsequence of the two token lists.
+
+    The common prefix and suffix pair directly; tokens absent from the other
+    side cannot pair and are left out of the diff, so unrelated texts cost
+    one pass. If the diff of the middle exceeds its budget the middle stays
+    unpaired and mentions there fall back to exact search.
+    """
+    n, m = len(a), len(b)
+    head = 0
+    while head < n and head < m and a[head] == b[head]:
+        head += 1
+    tail = 0
+    while tail < n - head and tail < m - head and a[n - 1 - tail] == b[m - 1 - tail]:
+        tail += 1
+    shared = set(a[head : n - tail]).intersection(b[head : m - tail])
+    keep_a = [i for i in range(head, n - tail) if a[i] in shared]
+    keep_b = [j for j in range(head, m - tail) if b[j] in shared]
+    middle = _myers_pairs([a[i] for i in keep_a], [b[j] for j in keep_b])
+    return (
+        [(k, k) for k in range(head)]
+        + [(keep_a[i], keep_b[j]) for i, j in middle or ()]
+        + [(n - tail + k, m - tail + k) for k in range(tail)]
+    )
 
 
 def _gap_segments(
@@ -143,7 +208,7 @@ def _gap_segments(
         return []
     if gap_s == gap_o:
         return [AlignedSegment(s_lo, s_hi, o_lo, o_hi, 1.0)]
-    if not gap_o:
+    if not gap_o or max(len(gap_s), len(gap_o)) > _REFINE_LIMIT:
         return [AlignedSegment(s_lo, s_hi, o_lo, o_hi, 0.0)]
     # Character-level refinement inside the gap: equal blocks map exactly,
     # the fuzz in between maps proportionally with its own similarity.
@@ -184,10 +249,13 @@ def _gap_segments(
 def align_texts(stripped: str, original: str) -> AlignmentMap:
     """Align a tag-stripped completion against the original text.
 
-    Token-level longest-common-subsequence alignment (tokens are maximal
-    runs of non-whitespace) refined to character offsets. Identical inputs
-    give the identity map with quality 1.0; an empty stripped text gives an
-    empty map.
+    Tokens (maximal runs of non-whitespace) are paired by a longest common
+    subsequence: common prefix and suffix first, then Myers' O(ND) diff of
+    the tokens both sides share, within a fixed work budget past which the
+    middle stays unpaired. Unpaired gaps are refined to character offsets
+    with difflib up to a fixed length; longer gaps map proportionally with
+    quality 0. Identical inputs give the identity map with quality 1.0; an
+    empty stripped text gives an empty map.
     """
     if stripped == original:
         if not stripped:
@@ -197,7 +265,7 @@ def align_texts(stripped: str, original: str) -> AlignmentMap:
         )
     tokens_s = list(_TOKEN_RE.finditer(stripped))
     tokens_o = list(_TOKEN_RE.finditer(original))
-    pairs = _lcs_token_pairs(
+    pairs = _common_token_pairs(
         [m.group() for m in tokens_s], [m.group() for m in tokens_o]
     )
     segments: list[AlignedSegment] = []
@@ -313,15 +381,16 @@ def _pair_tag_events(
     return spans
 
 
-def _all_positions(text: str, needle: str) -> list[int]:
-    positions = []
-    start = 0
-    while True:
-        index = text.find(needle, start)
-        if index == -1:
-            return positions
-        positions.append(index)
-        start = index + 1
+def _nearest_occurrence(text: str, needle: str, near: int) -> int:
+    """Start of the occurrence of ``needle`` closest to ``near``, or -1.
+
+    Ties go to the earlier occurrence.
+    """
+    after = text.find(needle, near)
+    before = text.rfind(needle, 0, near + len(needle) - 1)
+    if before == -1 or (after != -1 and after - near < near - before):
+        return after
+    return before
 
 
 def _nonoverlapping_spans(text: str, needle: str) -> list[tuple[int, int]]:
@@ -375,9 +444,8 @@ def parse_inline(
         if original[mapped_start:mapped_end] == mention:
             annotations.add(Annotation(mapped_start, mapped_end, label))
             continue
-        positions = _all_positions(original, mention)
-        if positions:
-            best = min(positions, key=lambda p: (abs(p - mapped_start), p))
+        best = _nearest_occurrence(original, mention, mapped_start)
+        if best != -1:
             annotations.add(Annotation(best, best + len(mention), label))
             warnings.append(
                 f"mention {mention!r} relocated by exact search "
@@ -391,35 +459,60 @@ def parse_inline(
     return document, ParseReport(document.annotations, tuple(warnings))
 
 
+def _merge_depths(a: list[int], b: list[int]) -> list[int]:
+    """Merge two top-aligned depth stacks, keeping the earliest start per depth."""
+    if len(a) < len(b):
+        a, b = b, a
+    for k in range(1, len(b) + 1):
+        if b[-k] < a[-k]:
+            a[-k] = b[-k]
+    return a
+
+
 def extract_json_block(text: str) -> str | None:
     """The first balanced ``{...}`` block in ``text``, or None.
 
-    Walks candidate opening braces left to right and returns the first one
-    that closes, honouring JSON string literals and escapes.
+    Returns the block of the earliest opening brace whose block closes,
+    honouring JSON string literals and escapes, in one linear pass. Scans
+    from different braces differ only in nesting depth and in being outside
+    a string, inside one, or just past a backslash inside one, so each of
+    those three phases keeps a stack whose entry ``k`` from the top is the
+    earliest start now ``k`` deep. A closing brace outside strings closes
+    the top entry; phases that meet merge, which costs one step per entry
+    that disappears.
     """
-    for start in _all_positions(text, "{"):
-        depth = 0
-        in_string = False
-        escaped = False
-        for index in range(start, len(text)):
-            char = text[index]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif char == "\\":
-                    escaped = True
-                elif char == '"':
-                    in_string = False
-                continue
-            if char == '"':
-                in_string = True
-            elif char == "{":
-                depth += 1
-            elif char == "}":
-                depth -= 1
-                if depth == 0:
-                    return text[start : index + 1]
-    return None
+    first = text.find("{")
+    if first == -1:
+        return None
+    outside: list[int] = []
+    inside: list[int] = []
+    escaped: list[int] = []
+    best = best_end = -1
+    previous = first
+    for match in _JSON_SYNTAX_RE.finditer(text, first):
+        index = match.start()
+        char = match.group()
+        if escaped and index > previous + 1:
+            inside = _merge_depths(inside, escaped)
+            escaped = []
+        previous = index
+        # Whatever follows a backslash in a string is consumed by it.
+        carried, escaped = escaped, []
+        if char == '"':
+            outside, inside = inside, outside
+        elif char == "\\":
+            inside, escaped = [], inside
+        elif char == "{":
+            outside.append(index)
+        elif outside:
+            start = outside.pop()
+            if best == -1 or start < best:
+                best, best_end = start, index
+            if not (outside or inside or carried):
+                break
+        if carried:
+            inside = _merge_depths(inside, carried)
+    return None if best == -1 else text[best : best_end + 1]
 
 
 def parse_json_answer(

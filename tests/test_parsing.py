@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chatner import (
@@ -21,6 +24,7 @@ from chatner import (
     render_inline,
     render_json,
 )
+from chatner import parsing
 
 
 @pytest.fixture
@@ -73,6 +77,74 @@ class TestAlignTexts:
         amap = align_texts(text, text)
         for offset in range(len(text) + 1):
             assert amap.map_offset(offset)[0] == offset
+
+
+def _lcs_length(a, b):
+    """Reference LCS length from the textbook dynamic-programming table."""
+    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(len(a) - 1, -1, -1):
+        for j in range(len(b) - 1, -1, -1):
+            if a[i] == b[j]:
+                table[i][j] = table[i + 1][j + 1] + 1
+            else:
+                table[i][j] = max(table[i + 1][j], table[i][j + 1])
+    return table[0][0]
+
+
+token_pairs = st.sampled_from(["ab", "abc", "abcdefgh"]).flatmap(
+    lambda alphabet: st.tuples(
+        st.lists(st.sampled_from(alphabet), max_size=30),
+        st.lists(st.sampled_from(alphabet), max_size=30),
+    )
+)
+
+
+class TestCommonTokenPairs:
+    @given(token_pairs)
+    @settings(max_examples=300, deadline=None)
+    def test_pairs_form_a_longest_common_subsequence(self, sides):
+        a, b = sides
+        pairs = parsing._common_token_pairs(a, b)
+        assert all(a[i] == b[j] for i, j in pairs)
+        assert all(i < k and j < l for (i, j), (k, l) in zip(pairs, pairs[1:]))
+        assert len(pairs) == _lcs_length(a, b)
+
+    @staticmethod
+    def _drifted_echo():
+        # Fillers at both ends of the middle keep the common prefix and
+        # suffix from pairing the mention; unequal ones shift its
+        # proportional mapping, and the gap is too long to refine.
+        before = [f"w{i}" for i in range(80)]
+        after = [f"v{i}" for i in range(80)]
+        original = " ".join(["start", *before, "Lima", *after, "end"])
+        completion = " ".join(
+            ["start", "x", "x", "x", *before, "<location>Lima</location>"]
+            + [*after, "y", "end"]
+        )
+        return completion, original, original.index("Lima")
+
+    def test_unshared_tokens_spend_no_budget(self):
+        a = [f"s{i}" for i in range(3_000)] + ["Lima"] + [f"t{i}" for i in range(3_000)]
+        b = [f"o{i}" for i in range(3_000)] + ["Lima"] + [f"p{i}" for i in range(3_000)]
+        assert parsing._common_token_pairs(a, b) == [(3_000, 3_000)]
+
+    def test_exhausted_budget_leaves_the_middle_unpaired(self, monkeypatch):
+        monkeypatch.setattr(parsing, "_DIFF_BUDGET", 0)
+        a = "p x m y q".split()
+        b = "p m q".split()
+        assert parsing._common_token_pairs(a, b) == [(0, 0), (4, 2)]
+
+    def test_mention_in_an_unpaired_gap_still_relocates(self, monkeypatch):
+        schema = EntitySchema({"location": "Places."})
+        completion, original, start = self._drifted_echo()
+        doc, report = parse_inline(completion, original, schema)
+        assert doc.annotations == {Annotation(start, start + 4, "location")}
+        assert report.warnings == ()
+        monkeypatch.setattr(parsing, "_DIFF_BUDGET", 0)
+        doc, report = parse_inline(completion, original, schema)
+        assert doc.annotations == {Annotation(start, start + 4, "location")}
+        (warning,) = report.warnings
+        assert "relocated by exact search (alignment quality 0.00)" in warning
 
 
 class TestParseInline:
@@ -155,6 +227,18 @@ class TestParseInline:
         assert doc.annotations == {Annotation(0, 2, "location")}
         assert any("relocated" in w for w in report.warnings)
 
+    @given(
+        st.text(alphabet="ab", max_size=30),
+        st.text(alphabet="ab", min_size=1, max_size=3),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_relocation_picks_the_nearest_occurrence(self, text, needle, data):
+        near = data.draw(st.integers(0, len(text)))
+        positions = [p for p in range(len(text)) if text.startswith(needle, p)]
+        expected = min(positions, key=lambda p: (abs(p - near), p), default=-1)
+        assert parsing._nearest_occurrence(text, needle, near) == expected
+
     def test_unlocatable_mention_dropped_with_warning(self):
         schema = EntitySchema({"location": "Places."})
         doc, report = parse_inline(
@@ -208,6 +292,71 @@ def nonoverlapping_docs(draw):
     return AnnotatedDocument(text, annotations)
 
 
+def _two_symbol_echo():
+    rng = random.Random(7)
+    echo = [rng.choice("ab") for _ in range(5_000)]
+    original = " ".join(rng.choice("ab") for _ in range(5_000))
+    tagged = [f"<x>{tok}</x>" if i % 50 == 0 else tok for i, tok in enumerate(echo)]
+    return " ".join(tagged), original
+
+
+def _block_swap():
+    n = 5_000
+    return (
+        " ".join(["<x>x</x>"] + ["x"] * (n - 1) + ["y"] * n),
+        " ".join(["y"] * n + ["x"] * n),
+    )
+
+
+ADVERSARIAL_ECHOES = {
+    "no shared tokens": lambda: (
+        " ".join(f"<x>s{i}</x>" if i % 50 == 0 else f"s{i}" for i in range(5_000)),
+        " ".join(f"o{i}" for i in range(5_000)),
+    ),
+    "two-symbol streams": _two_symbol_echo,
+    "block swap": _block_swap,
+    "one 100,000-character token": lambda: (
+        "<x>" + "q" * 100_000 + "</x>",
+        "q" * 99_999 + "r",
+    ),
+}
+
+
+class TestAdversarialSizes:
+    """Loose time bounds that a super-linear parsing path would blow.
+
+    Each call takes at most about half a second on a 2-vCPU machine; the
+    bound leaves more than ten times that. Inputs of thousands of tokens or
+    characters also raise RecursionError on any recursion as deep as the
+    input.
+    """
+
+    TIME_LIMIT_S = 8.0
+    SCHEMA = EntitySchema({"x": "Xs."})
+
+    def _timed(self, case, call):
+        started = time.perf_counter()
+        try:
+            result = call()
+        except RecursionError:
+            pytest.fail(f"parsing recursed as deep as the input on {case}")
+        elapsed = time.perf_counter() - started
+        assert elapsed < self.TIME_LIMIT_S, f"{case} took {elapsed:.2f} s"
+        return result
+
+    @pytest.mark.parametrize("case", sorted(ADVERSARIAL_ECHOES))
+    def test_align_and_parse_within_bounds(self, case):
+        completion, original = ADVERSARIAL_ECHOES[case]()
+        stripped = completion.replace("<x>", "").replace("</x>", "")
+        amap = self._timed(case, lambda: align_texts(stripped, original))
+        assert amap.segments
+        doc, _ = self._timed(
+            case, lambda: parse_inline(completion, original, self.SCHEMA)
+        )
+        for ann in doc.annotations:
+            assert doc.text[ann.start : ann.end] in stripped
+
+
 class TestInlineRoundTrip:
     SCHEMA = EntitySchema(
         {"person": "People.", "location": "Places.", "organization": "Orgs."}
@@ -235,6 +384,48 @@ class TestExtractJsonBlock:
     def test_no_object_gives_none(self):
         assert extract_json_block("no braces here") is None
         assert extract_json_block("{never closed") is None
+
+    @staticmethod
+    def _first_closing_block(text):
+        """The quadratic reference: scan from every opening brace in turn."""
+        for start in (i for i, char in enumerate(text) if char == "{"):
+            depth = 0
+            in_string = False
+            escaped = False
+            for index in range(start, len(text)):
+                char = text[index]
+                if in_string:
+                    if escaped:
+                        escaped = False
+                    elif char == "\\":
+                        escaped = True
+                    elif char == '"':
+                        in_string = False
+                    continue
+                if char == '"':
+                    in_string = True
+                elif char == "{":
+                    depth += 1
+                elif char == "}":
+                    depth -= 1
+                    if depth == 0:
+                        return text[start : index + 1]
+        return None
+
+    @given(st.text(alphabet='{}"\\a', max_size=40))
+    @example('{{"{\\""}')
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_the_scan_from_every_brace(self, text):
+        assert extract_json_block(text) == self._first_closing_block(text)
+
+    def test_decoy_block_before_the_answer_is_still_first(self):
+        text = 'Format {label: mentions}: {"person": ["Ada"]}'
+        assert extract_json_block(text) == "{label: mentions}"
+
+    def test_unbalanced_run_is_linear(self):
+        started = time.perf_counter()
+        assert extract_json_block("{" * 20_000) is None
+        assert time.perf_counter() - started < 1.0
 
 
 class TestParseJsonAnswer:

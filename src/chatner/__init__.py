@@ -47,7 +47,6 @@ from .errors import (
     RetriesExhaustedError,
     ServerError,
     TemplateError,
-    TurnStateError,
 )
 from .evaluation import (
     ClassMetrics,
@@ -57,13 +56,11 @@ from .evaluation import (
     match_annotations,
     read_conll,
     read_conll_file,
-    relaxed_match,
 )
 from .parsing import (
     ParseReport,
     align_texts,
     extract_json_block,
-    merge_turn_annotations,
     parse_inline,
     parse_json_answer,
 )
@@ -114,7 +111,6 @@ __all__ = [
     "RetriesExhaustedError",
     "ServerError",
     "TemplateError",
-    "TurnStateError",
     "ValidationIssue",
     "ValidationResult",
     "ZeroShotNer",
@@ -132,12 +128,10 @@ __all__ = [
     "evaluate",
     "extract_json_block",
     "match_annotations",
-    "merge_turn_annotations",
     "parse_inline",
     "parse_json_answer",
     "read_conll",
     "read_conll_file",
-    "relaxed_match",
     "render_examples",
     "render_inline",
     "render_json",

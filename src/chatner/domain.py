@@ -204,7 +204,8 @@ class NerConfig:
 
     ``delimiters`` replaces the default label-named tags with one custom
     open/close pair; since a single pair cannot express several entity
-    types at once, it is only valid with multi-turn prompting.
+    types at once, it is only valid with multi-turn prompting, and only
+    with the in-line answer shape, which is the one it marks up.
     """
 
     prompting_method: str = "single_turn"
@@ -212,11 +213,6 @@ class NerConfig:
     answer_shape: str = "inline"
     delimiters: tuple[str, str] | None = None
     pos_mode: str = "none"
-    examples: tuple[AnnotatedDocument, ...] = ()
-    model: str = "gpt-3.5-turbo"
-    temperature: float = 0.0
-    max_retries: int = 3
-    max_concurrency: int = 1
     language: str = "en"
 
     def __post_init__(self) -> None:
@@ -245,14 +241,8 @@ class NerConfig:
             object.__setattr__(self, "delimiters", pair)
             if self.prompting_method != "multi_turn":
                 raise ConfigError("custom delimiters require multi-turn prompting")
-        if not isinstance(self.examples, tuple):
-            object.__setattr__(self, "examples", tuple(self.examples))
-        if self.temperature < 0:
-            raise ConfigError("temperature must be >= 0")
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
-        if self.max_concurrency < 1:
-            raise ConfigError("max_concurrency must be >= 1")
+            if self.answer_shape != "inline":
+                raise ConfigError("custom delimiters require the inline answer shape")
         if not isinstance(self.language, str) or not self.language:
             raise ConfigError("language must be a non-empty string")
 

@@ -25,20 +25,13 @@ from .client import (
 )
 from .domain import AnnotatedDocument, EntitySchema, NerConfig
 from .errors import ChatnerError, ConfigError, MalformedResponseError, ParseError
-from .parsing import (
-    ParseReport,
-    merge_turn_annotations,
-    parse_inline,
-    parse_json_answer,
-)
+from .parsing import ParseReport, parse_inline, parse_json_answer
 from .prompting import (
     ChatMessage,
-    MultiTurnState,
     augment_with_pos,
     compose_system_prompt,
-    next_turn,
+    plan_turns,
     render_examples,
-    start_turns,
 )
 from .templates import PromptTemplateSet
 from .validation import check_is_contextualized, ensure_examples, ensure_texts
@@ -78,6 +71,12 @@ def _resolve_templates(
         "templates must be a PromptTemplateSet, a mapping of overrides, "
         f"or a path, got {type(templates).__name__}"
     )
+
+
+def _check_workers(workers: int) -> int:
+    if workers < 1:
+        raise ConfigError("max_concurrency must be >= 1")
+    return workers
 
 
 class NerModel:
@@ -195,17 +194,13 @@ class NerModel:
             answer_shape=self.answer_shape,
             delimiters=self.delimiters,
             pos_mode=self.pos_mode,
-            examples=tuple(examples or ()),
-            model=self.model,
-            temperature=self.temperature,
-            max_retries=self.max_retries,
-            max_concurrency=self.max_concurrency,
             language=self.language,
         )
+        _check_workers(self.max_concurrency)
         if config.pos_mode == "via_hook" and self.pos_tagger is None:
             raise ConfigError("pos_mode 'via_hook' needs the pos_tagger parameter")
         templates = _resolve_templates(self.templates, self.language)
-        checked_examples = ensure_examples(config.examples, schema, config)
+        checked_examples = ensure_examples(examples or (), schema, config)
         system = compose_system_prompt(schema, config, templates)
         demonstrations = render_examples(checked_examples, schema, config, templates)
         prefix = [system]
@@ -234,21 +229,24 @@ class NerModel:
     def _complete(self, conversation: Sequence[ChatMessage]) -> str:
         return chat_complete(conversation, self.backend_config_, backend=self.backend_)
 
-    def _parse_json_with_retry(
-        self,
-        conversation: list[ChatMessage],
-        reply: str,
-        original: str,
-        schema: EntitySchema,
-    ) -> tuple[AnnotatedDocument, ParseReport, str]:
-        """Parse a JSON answer, re-requesting once if it does not parse."""
+    def _parse(
+        self, conversation: Sequence[ChatMessage], reply: str, text: str, label: str | None
+    ) -> tuple[ParseReport, str]:
+        """Parse the reply to a turn about ``label`` (None: every label).
+
+        A JSON answer that does not parse is re-requested once; the reply
+        actually parsed is returned with the report.
+        """
+        schema = self.schema_ if label is None else EntitySchema({label: self.schema_[label]})
+        if self.config_.answer_shape == "inline":
+            # Custom delimiters only mark the single label of a per-entity turn.
+            delimiters = None if label is None else self.config_.delimiters
+            return parse_inline(reply, text, schema, delimiters)[1], reply
         try:
-            document, report = parse_json_answer(reply, original, schema)
-            return document, report, reply
+            return parse_json_answer(reply, text, schema)[1], reply
         except ParseError:
-            retry_reply = self._complete(conversation)
-            document, report = parse_json_answer(retry_reply, original, schema)
-            return document, report, retry_reply
+            reply = self._complete(conversation)
+            return parse_json_answer(reply, text, schema)[1], reply
 
     def _augmented(self, text: str) -> str:
         if self.config_.pos_mode == "none":
@@ -263,76 +261,35 @@ class NerModel:
         )
 
     def predict_one(self, text: str) -> tuple[AnnotatedDocument, ParseReport]:
-        """Annotate one text. Backend and double-parse failures raise."""
+        """Annotate one text. Backend and double-parse failures raise.
+
+        Walks the turns of :func:`chatner.prompting.plan_turns`, parsing
+        the reply to every turn that covers all labels and, in step-by-step
+        mode, to every per-label turn; the result is the union of what the
+        parsed turns recovered.
+        """
         check_is_contextualized(self)
         if not isinstance(text, str):
             raise TypeError(f"text must be a string, got {type(text).__name__}")
-        config = self.config_
-        block = self._augmented(text)
-        if config.prompting_method == "single_turn":
-            conversation = list(self.prefix_)
-            conversation.append(
-                ChatMessage("user", self.templates_.render("user_text", text=block))
-            )
-            reply = self._complete(conversation)
-            if config.answer_shape == "json":
-                document, report, _ = self._parse_json_with_retry(
-                    conversation, reply, text, self.schema_
-                )
-            else:
-                document, report = parse_inline(reply, text, self.schema_)
-            return document, report
-        return self._predict_multi_turn(text, block)
-
-    def _predict_multi_turn(
-        self, text: str, block: str
-    ) -> tuple[AnnotatedDocument, ParseReport]:
-        config = self.config_
-        schema = self.schema_
-        step_by_step = config.multi_turn_mode == "step_by_step"
+        parse_every_turn = self.config_.multi_turn_mode == "step_by_step"
         conversation = list(self.prefix_)
-        state = start_turns(block, schema, config)
-        per_turn: list[frozenset] = []
+        annotations: set = set()
         warnings: list[str] = []
-        final: tuple[AnnotatedDocument, ParseReport] | None = None
-        message = next_turn(state, self.templates_)
-        while message is not None:
-            conversation.append(message)
-            reply = self._complete(conversation)
-            if state.last_was_final:
-                # The closing request covers the full schema with default tags.
-                if config.answer_shape == "json":
-                    document, report, reply = self._parse_json_with_retry(
-                        conversation, reply, text, schema
-                    )
-                else:
-                    document, report = parse_inline(reply, text, schema)
-                final = (document, report)
-            elif step_by_step:
-                label = state.last_label
-                sub_schema = EntitySchema({label: schema[label]})
-                if config.answer_shape == "json":
-                    turn_doc, turn_report, reply = self._parse_json_with_retry(
-                        conversation, reply, text, sub_schema
-                    )
-                else:
-                    turn_doc, turn_report = parse_inline(
-                        reply, text, sub_schema, config.delimiters
-                    )
-                per_turn.append(turn_doc.annotations)
-                warnings.extend(turn_report.warnings)
-            upcoming = next_turn(state, self.templates_)
-            if upcoming is not None:
+        turns = plan_turns(self._augmented(text), self.schema_, self.config_, self.templates_)
+        for position, (message, label) in enumerate(turns):
+            if position:
                 if not reply:
                     raise MalformedResponseError(
                         "empty completion cannot continue a multi-turn exchange"
                     )
                 conversation.append(ChatMessage("assistant", reply))
-            message = upcoming
-        if final is not None:
-            return final
-        annotations = merge_turn_annotations(per_turn)
-        document = AnnotatedDocument(text, annotations)
+            conversation.append(message)
+            reply = self._complete(conversation)
+            if label is None or parse_every_turn:
+                report, reply = self._parse(conversation, reply, text, label)
+                annotations.update(report.annotations)
+                warnings.extend(report.warnings)
+        document = AnnotatedDocument(text, frozenset(annotations))
         return document, ParseReport(document.annotations, tuple(warnings))
 
     def predict(
@@ -348,9 +305,9 @@ class NerModel:
         """
         check_is_contextualized(self)
         items = ensure_texts(texts)
-        workers = max_concurrency if max_concurrency is not None else self.max_concurrency
-        if workers < 1:
-            raise ConfigError("max_concurrency must be >= 1")
+        workers = _check_workers(
+            max_concurrency if max_concurrency is not None else self.max_concurrency
+        )
         if not items:
             return []
 
@@ -381,22 +338,13 @@ class NerModel:
         config = self.config_
         if config.pos_mode == "via_llm":
             block = self.templates_.render("pos_block", text=text, tags="{pos_tags}")
-        elif config.pos_mode == "via_hook":
-            block = self._augmented(text)
         else:
-            block = text
+            block = self._augmented(text)
         messages = list(self.prefix_)
-        if config.prompting_method == "single_turn":
-            messages.append(
-                ChatMessage("user", self.templates_.render("user_text", text=block))
-            )
-            return tuple(messages)
-        state = start_turns(block, self.schema_, config)
-        message = next_turn(state, self.templates_)
-        while message is not None:
+        for message, _ in plan_turns(block, self.schema_, config, self.templates_):
             messages.append(message)
-            messages.append(ChatMessage("assistant", "{response}"))
-            message = next_turn(state, self.templates_)
+            if config.prompting_method == "multi_turn":
+                messages.append(ChatMessage("assistant", "{response}"))
         return tuple(messages)
 
 

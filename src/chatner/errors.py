@@ -21,10 +21,6 @@ class ConversationError(ChatnerError, ValueError):
     """A conversation violates the role-ordering contract."""
 
 
-class TurnStateError(ChatnerError, RuntimeError):
-    """next_turn was called after the exchange already finished."""
-
-
 class ParseError(ChatnerError, ValueError):
     """A completion could not be parsed into annotations."""
 

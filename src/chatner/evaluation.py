@@ -187,13 +187,6 @@ def match_annotations(
     )
 
 
-def relaxed_match(
-    predicted: Iterable[Annotation], gold: Iterable[Annotation]
-) -> Matching:
-    """Same-label span-overlap matching (intersection of at least 1 char)."""
-    return match_annotations(predicted, gold, "relaxed")
-
-
 # -- metrics ----------------------------------------------------------------
 
 

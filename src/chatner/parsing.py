@@ -354,28 +354,31 @@ def _scan_delimiters(
 def _pair_tag_events(
     events: list[tuple[bool, str, int]], warnings: list[str]
 ) -> list[tuple[int, int, str]]:
-    """Stack-match open/close events into spans, warning about strays."""
+    """Stack-match open/close events into spans, warning about strays.
+
+    ``open_count`` tracks how many tags of each label are on the stack, so
+    a closing tag with no open partner is found stray without a scan, and
+    a mis-nested one pops only the tags it drops.
+    """
     stack: list[tuple[str, int]] = []
+    open_count: dict[str, int] = {}
     spans: list[tuple[int, int, str]] = []
     for is_close, label, offset in events:
         if not is_close:
             stack.append((label, offset))
+            open_count[label] = open_count.get(label, 0) + 1
             continue
-        if stack and stack[-1][0] == label:
-            start = stack.pop()[1]
-            spans.append((start, offset, label))
-            continue
-        match_index = next(
-            (i for i in range(len(stack) - 1, -1, -1) if stack[i][0] == label), None
-        )
-        if match_index is None:
+        if not open_count.get(label):
             warnings.append(f"stray closing tag for {label!r} ignored")
             continue
-        for dropped_label, _ in stack[match_index + 1 :]:
+        dropped: list[str] = []
+        while stack[-1][0] != label:
+            dropped.append(stack.pop()[0])
+            open_count[dropped[-1]] -= 1
+        for dropped_label in reversed(dropped):
             warnings.append(f"unmatched opening tag for {dropped_label!r} dropped")
-        start = stack[match_index][1]
-        del stack[match_index:]
-        spans.append((start, offset, label))
+        open_count[label] -= 1
+        spans.append((stack.pop()[1], offset, label))
     for dropped_label, _ in stack:
         warnings.append(f"unmatched opening tag for {dropped_label!r} dropped")
     return spans
@@ -583,12 +586,3 @@ def parse_json_answer(
     document = AnnotatedDocument(original, frozenset(annotations))
     return document, ParseReport(document.annotations, tuple(warnings))
 
-
-def merge_turn_annotations(
-    per_turn: Iterable[Iterable[Annotation]],
-) -> frozenset[Annotation]:
-    """Set union of the annotations recovered by each turn."""
-    merged: set[Annotation] = set()
-    for annotations in per_turn:
-        merged.update(annotations)
-    return frozenset(merged)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .domain import (
     AnnotatedDocument,
@@ -14,7 +15,7 @@ from .domain import (
     first_overlap,
     validate_document,
 )
-from .errors import ConfigError, RenderError, TurnStateError
+from .errors import ConfigError, RenderError
 from .templates import PromptTemplateSet, default_templates
 
 ROLES = ("system", "user", "assistant")
@@ -224,69 +225,41 @@ def render_examples(
     return tuple(pairs)
 
 
-@dataclass
-class MultiTurnState:
-    """Progress through the per-entity turns of a multi-turn exchange.
+class Turn(NamedTuple):
+    """One planned user message and the label it asks about (None: all)."""
 
-    ``last_label`` and ``last_was_final`` describe the most recently issued
-    turn so the caller knows how to parse its reply.
-    """
-
-    text: str
-    labels: tuple[str, ...]
-    final_step: bool = False
-    position: int = 0
-    final_requested: bool = False
-    finished: bool = False
-    last_label: str | None = None
-    last_was_final: bool = False
-
-    def __post_init__(self) -> None:
-        self.labels = tuple(self.labels)
-        if not self.labels:
-            raise ConfigError("a multi-turn exchange needs at least one label")
+    message: ChatMessage
+    label: str | None
 
 
-def start_turns(text: str, schema: EntitySchema, config: NerConfig) -> MultiTurnState:
-    """Create the turn state for one document under ``config``."""
-    if config.prompting_method != "multi_turn":
-        raise ConfigError("turn states only apply to multi-turn prompting")
-    return MultiTurnState(
-        text=text,
-        labels=schema.labels,
-        final_step=config.multi_turn_mode == "final_step",
-    )
-
-
-def next_turn(
-    state: MultiTurnState,
+def plan_turns(
+    text: str,
+    schema: EntitySchema,
+    config: NerConfig,
     templates: PromptTemplateSet | None = None,
-) -> ChatMessage | None:
-    """The next user message of the exchange, or None when it is over.
+) -> tuple[Turn, ...]:
+    """The user turns of one document's exchange, in the order they are sent.
 
-    Step-by-step mode yields one message per label; final-step mode adds a
-    closing request covering every label. Calling again after None raises.
+    Single-turn prompting asks for every label in one turn. Multi-turn
+    prompting asks about one label per turn in schema order, and
+    final-step mode closes with a turn asking for every label. The turns
+    depend only on the text, schema and configuration, never on the
+    replies, so :meth:`NerModel.predict_one` and
+    :meth:`NerModel.plan_conversation` share this plan.
     """
-    templates = templates or default_templates()
-    if state.finished:
-        raise TurnStateError("the multi-turn exchange is already finished")
-    if state.position < len(state.labels):
-        label = state.labels[state.position]
-        if state.position == 0:
-            content = templates.render("turn_first", label=label, text=state.text)
+    templates = templates or default_templates(config.language)
+    if config.prompting_method == "single_turn":
+        return (Turn(ChatMessage("user", templates.render("user_text", text=text)), None),)
+    turns = []
+    for position, label in enumerate(schema.labels):
+        if position == 0:
+            content = templates.render("turn_first", label=label, text=text)
         else:
             content = templates.render("turn_next", label=label)
-        state.position += 1
-        state.last_label = label
-        state.last_was_final = False
-        return ChatMessage("user", content)
-    if state.final_step and not state.final_requested:
-        state.final_requested = True
-        state.last_label = None
-        state.last_was_final = True
-        return ChatMessage("user", templates.render("turn_final"))
-    state.finished = True
-    return None
+        turns.append(Turn(ChatMessage("user", content), label))
+    if config.multi_turn_mode == "final_step":
+        turns.append(Turn(ChatMessage("user", templates.render("turn_final")), None))
+    return tuple(turns)
 
 
 def augment_with_pos(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -191,8 +192,8 @@ class TestNerConfig:
         config = NerConfig()
         assert config.prompting_method == "single_turn"
         assert config.answer_shape == "inline"
-        assert config.temperature == 0.0
-        assert config.examples == ()
+        assert config.delimiters is None
+        assert config.language == "en"
 
     def test_delimiters_require_multi_turn(self):
         with pytest.raises(ConfigError, match="custom delimiters require multi-turn"):
@@ -215,13 +216,21 @@ class TestNerConfig:
         with pytest.raises(ConfigError):
             NerConfig(**{field: value})
 
-    def test_bad_numeric_settings_rejected(self):
-        with pytest.raises(ConfigError):
-            NerConfig(temperature=-0.5)
-        with pytest.raises(ConfigError):
-            NerConfig(max_retries=-1)
-        with pytest.raises(ConfigError):
-            NerConfig(max_concurrency=0)
+    def test_delimiters_require_inline_shape(self):
+        with pytest.raises(ConfigError, match="inline answer shape"):
+            NerConfig(
+                prompting_method="multi_turn", answer_shape="json", delimiters=("@@", "##")
+            )
+
+    def test_exactly_the_run_shaping_fields(self):
+        assert [f.name for f in dataclasses.fields(NerConfig)] == [
+            "prompting_method",
+            "multi_turn_mode",
+            "answer_shape",
+            "delimiters",
+            "pos_mode",
+            "language",
+        ]
 
 
 class TestRecordRoundTrip:

@@ -9,6 +9,7 @@ import pytest
 from chatner import (
     AnnotatedDocument,
     Annotation,
+    ChatMessage,
     ConfigError,
     EntitySchema,
     FewShotNer,
@@ -119,6 +120,15 @@ class TestContextualize:
     def test_delimiters_with_single_turn_rejected(self):
         with pytest.raises(ConfigError, match="custom delimiters require multi-turn"):
             NerModel(delimiters=("@@", "##")).contextualize(SCHEMA)
+
+    def test_delimiters_with_json_shape_rejected(self):
+        model = NerModel(method="multi_turn", answer_shape="json", delimiters=("@@", "##"))
+        with pytest.raises(ConfigError, match="inline answer shape"):
+            model.contextualize(SCHEMA)
+
+    def test_zero_concurrency_rejected(self):
+        with pytest.raises(ConfigError, match="max_concurrency"):
+            NerModel(max_concurrency=0).contextualize(SCHEMA)
 
     def test_pos_hook_mode_requires_tagger(self):
         with pytest.raises(ConfigError, match="pos_tagger"):
@@ -251,6 +261,39 @@ class TestPredictOneMultiTurn:
         }
         assert len(backend.calls) == len(SCHEMA) + 1
 
+    def test_final_step_ignores_priming_replies_and_custom_delimiters(self):
+        backend = MockBackend(
+            matchers=[
+                ("all the entities", "<person>Ana</person> met <location>Peru</location>"),
+                ("entity", "@@Ana met Peru##"),
+            ]
+        )
+        model = ZeroShotNer(
+            method="multi_turn",
+            multi_turn_mode="final_step",
+            delimiters=("@@", "##"),
+            backend=backend,
+        ).contextualize(SCHEMA)
+        doc, report = model.predict_one("Ana met Peru")
+        assert doc.annotations == {
+            Annotation(0, 3, "person"),
+            Annotation(8, 12, "location"),
+        }
+        assert report.warnings == ()
+
+    def test_json_retry_reply_continues_the_conversation(self):
+        backend = seq("no json", '{"person": ["Ana"]}', '{"location": ["Peru"]}')
+        model = ZeroShotNer(
+            method="multi_turn", answer_shape="json", backend=backend
+        ).contextualize(SCHEMA)
+        doc, _ = model.predict_one("Ana met Peru")
+        assert doc.annotations == {
+            Annotation(0, 3, "person"),
+            Annotation(8, 12, "location"),
+        }
+        assert backend.calls[0] == backend.calls[1]
+        assert backend.calls[2][-2] == ChatMessage("assistant", '{"person": ["Ana"]}')
+
     def test_empty_reply_mid_conversation_rejected(self):
         backend = seq("", "unreachable")
         model = ZeroShotNer(method="multi_turn", backend=backend).contextualize(SCHEMA)
@@ -380,6 +423,47 @@ class TestPlanConversation:
         model.predict_one(golden_text)
         assert tuple(backend.calls[0]) == planned
         assert backend.calls[0][-1].content.endswith(golden_text)
+
+    @pytest.mark.parametrize("pos_mode", ["none", "via_hook"])
+    @pytest.mark.parametrize("shape", ["inline", "json"])
+    @pytest.mark.parametrize(
+        "method, mode",
+        [
+            ("single_turn", "step_by_step"),
+            ("multi_turn", "step_by_step"),
+            ("multi_turn", "final_step"),
+        ],
+    )
+    def test_plan_matches_submission(self, method, mode, shape, pos_mode):
+        text = "Ana went to Peru."
+        if shape == "json":
+            replies = [f'{{"person": ["Ana"]}} ({k})' for k in range(3)]
+        else:
+            replies = [f"<person>Ana</person> went to Peru. ({k})" for k in range(3)]
+        backend = seq(*replies)
+        model = ZeroShotNer(
+            method=method,
+            multi_turn_mode=mode,
+            answer_shape=shape,
+            pos_mode=pos_mode,
+            pos_tagger=lambda t: [(token, "T") for token in t.split()],
+            backend=backend,
+        ).contextualize(SCHEMA)
+        planned = model.plan_conversation(text)
+        document, _ = model.predict_one(text)
+        assert Annotation(0, 3, "person") in document.annotations
+        responses = iter(replies)
+        filled = [
+            ChatMessage("assistant", next(responses)) if m.content == "{response}" else m
+            for m in planned
+        ]
+        # Each request carries the plan up to and including its user turn.
+        ends = [
+            i + 1
+            for i, m in enumerate(filled)
+            if m.role == "user" and i >= len(model.prefix_)
+        ]
+        assert backend.calls == [tuple(filled[:end]) for end in ends]
 
     def test_plan_is_deterministic(self):
         model = ZeroShotNer(backend=seq("x")).contextualize(SCHEMA)

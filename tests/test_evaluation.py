@@ -16,7 +16,6 @@ from chatner import (
     match_annotations,
     read_conll,
     read_conll_file,
-    relaxed_match,
 )
 from chatner.evaluation import ClassMetrics, ConllSentence, sentence_to_document
 
@@ -113,29 +112,30 @@ class TestSentenceToDocument:
 
 class TestMatching:
     def test_exact_agreement(self):
-        matching = relaxed_match([Annotation(0, 4, "LOC")], [Annotation(0, 4, "LOC")])
+        matching = match_annotations([Annotation(0, 4, "LOC")], [Annotation(0, 4, "LOC")], "relaxed")
         assert len(matching.pairs) == 1
         assert matching.unmatched_predicted == ()
         assert matching.unmatched_gold == ()
 
     def test_overlap_suffices(self):
-        matching = relaxed_match([Annotation(0, 6, "LOC")], [Annotation(2, 4, "LOC")])
+        matching = match_annotations([Annotation(0, 6, "LOC")], [Annotation(2, 4, "LOC")], "relaxed")
         assert len(matching.pairs) == 1
 
     def test_label_mismatch_never_matches(self):
-        matching = relaxed_match([Annotation(0, 4, "PER")], [Annotation(0, 4, "LOC")])
+        matching = match_annotations([Annotation(0, 4, "PER")], [Annotation(0, 4, "LOC")], "relaxed")
         assert matching.pairs == ()
         assert len(matching.unmatched_predicted) == 1
         assert len(matching.unmatched_gold) == 1
 
     def test_touching_spans_do_not_overlap(self):
-        matching = relaxed_match([Annotation(0, 4, "LOC")], [Annotation(4, 8, "LOC")])
+        matching = match_annotations([Annotation(0, 4, "LOC")], [Annotation(4, 8, "LOC")], "relaxed")
         assert matching.pairs == ()
 
     def test_one_to_one(self):
-        matching = relaxed_match(
+        matching = match_annotations(
             [Annotation(0, 4, "LOC"), Annotation(1, 3, "LOC")],
             [Annotation(0, 4, "LOC")],
+            "relaxed",
         )
         assert len(matching.pairs) == 1
         assert len(matching.unmatched_predicted) == 1
@@ -145,7 +145,7 @@ class TestMatching:
         # and strand (2,3); the augmenting pass recovers both pairs.
         predicted = [Annotation(0, 10, "L"), Annotation(2, 3, "L")]
         gold = [Annotation(2, 3, "L"), Annotation(8, 9, "L")]
-        matching = relaxed_match(predicted, gold)
+        matching = match_annotations(predicted, gold, "relaxed")
         assert len(matching.pairs) == 2
 
     def test_strict_requires_exact_spans(self):
@@ -161,8 +161,8 @@ class TestMatching:
     def test_deterministic_pairing(self):
         predicted = [Annotation(0, 5, "L"), Annotation(3, 8, "L")]
         gold = [Annotation(4, 6, "L"), Annotation(0, 2, "L")]
-        first = relaxed_match(predicted, gold)
-        second = relaxed_match(reversed(predicted), list(gold))
+        first = match_annotations(predicted, gold, "relaxed")
+        second = match_annotations(reversed(predicted), list(gold), "relaxed")
         assert first == second
 
 

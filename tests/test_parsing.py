@@ -1,4 +1,4 @@
-"""Completion parsing: tag scanning, alignment, JSON answers, merging."""
+"""Completion parsing: tag scanning, alignment, JSON answers."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from chatner import (
     align_texts,
     annotation_text,
     extract_json_block,
-    merge_turn_annotations,
     parse_inline,
     parse_json_answer,
     render_inline,
@@ -308,6 +307,42 @@ def _block_swap():
     )
 
 
+
+def _stack_scan_pairing(events):
+    """The previous pairing, which scans the stack for every closing tag."""
+    stack, spans, warnings = [], [], []
+    for is_close, label, offset in events:
+        if not is_close:
+            stack.append((label, offset))
+            continue
+        if stack and stack[-1][0] == label:
+            spans.append((stack.pop()[1], offset, label))
+            continue
+        match_index = next(
+            (i for i in range(len(stack) - 1, -1, -1) if stack[i][0] == label), None
+        )
+        if match_index is None:
+            warnings.append(f"stray closing tag for {label!r} ignored")
+            continue
+        for dropped_label, _ in stack[match_index + 1 :]:
+            warnings.append(f"unmatched opening tag for {dropped_label!r} dropped")
+        spans.append((stack[match_index][1], offset, label))
+        del stack[match_index:]
+    for dropped_label, _ in stack:
+        warnings.append(f"unmatched opening tag for {dropped_label!r} dropped")
+    return spans, warnings
+
+
+class TestPairTagEvents:
+    @given(st.lists(st.tuples(st.booleans(), st.sampled_from("abc")), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    @example([(False, "a"), (False, "b"), (False, "c"), (True, "a"), (True, "b")])
+    def test_same_spans_and_warnings_as_stack_scan(self, tags):
+        events = [(is_close, label, offset) for offset, (is_close, label) in enumerate(tags)]
+        warnings: list[str] = []
+        spans = parsing._pair_tag_events(events, warnings)
+        assert (spans, warnings) == _stack_scan_pairing(events)
+
 ADVERSARIAL_ECHOES = {
     "no shared tokens": lambda: (
         " ".join(f"<x>s{i}</x>" if i % 50 == 0 else f"s{i}" for i in range(5_000)),
@@ -355,6 +390,20 @@ class TestAdversarialSizes:
         )
         for ann in doc.annotations:
             assert doc.text[ann.start : ann.end] in stripped
+
+    def test_stray_closing_tags_within_bounds(self):
+        n = 8_000
+        schema = EntitySchema({"PER": "People.", "LOC": "Places."})
+        completion = "<PER>a " * n + "</LOC>b " * n
+        original = "a " * n + "b " * n
+        doc, report = self._timed(
+            "stray closing tags", lambda: parse_inline(completion, original, schema)
+        )
+        assert doc.annotations == frozenset()
+        assert report.warnings == (
+            ("stray closing tag for 'LOC' ignored",) * n
+            + ("unmatched opening tag for 'PER' dropped",) * n
+        )
 
 
 class TestInlineRoundTrip:
@@ -538,17 +587,3 @@ class TestJsonRoundTrip:
         parsed, report = parse_json_answer(completion, doc.text, self.SCHEMA)
         assert parsed.annotations == doc.annotations
 
-
-class TestMergeTurnAnnotations:
-    def test_union_keeps_multi_label_spans(self):
-        merged = merge_turn_annotations(
-            [{Annotation(0, 4, "loc")}, {Annotation(0, 4, "org")}]
-        )
-        assert merged == {Annotation(0, 4, "loc"), Annotation(0, 4, "org")}
-
-    def test_empty_union(self):
-        assert merge_turn_annotations([set(), set()]) == frozenset()
-
-    def test_idempotent(self):
-        merged = merge_turn_annotations([{Annotation(0, 2, "a")}, {Annotation(0, 2, "a")}])
-        assert merged == {Annotation(0, 2, "a")}

@@ -22,8 +22,7 @@ from chatner import (
     render_json,
 )
 from chatner.client import BackendConfig, MockBackend
-from chatner.errors import TurnStateError
-from chatner.prompting import next_turn, start_turns
+from chatner.prompting import plan_turns
 
 TEMPLATES = default_templates()
 
@@ -237,52 +236,44 @@ class TestRenderExamples:
 
 
 class TestTurns:
-    def make_state(self, mode="step_by_step"):
+    def make_plan(self, mode="step_by_step", method="multi_turn"):
         schema = EntitySchema({"location": "Places.", "person": "People."})
-        config = NerConfig(prompting_method="multi_turn", multi_turn_mode=mode)
-        return start_turns("Pedro went to Peru.", schema, config)
+        config = NerConfig(prompting_method=method, multi_turn_mode=mode)
+        return plan_turns("Pedro went to Peru.", schema, config, TEMPLATES)
 
     def test_first_turn_names_first_label_and_text(self):
-        state = self.make_state()
-        message = next_turn(state, TEMPLATES)
+        message, label = self.make_plan()[0]
         assert message.role == "user"
+        assert label == "location"
         assert "location" in message.content
         assert "Pedro went to Peru." in message.content
 
     def test_second_turn_names_second_label_only(self):
-        state = self.make_state()
-        next_turn(state, TEMPLATES)
-        message = next_turn(state, TEMPLATES)
+        message, label = self.make_plan()[1]
+        assert label == "person"
         assert "person" in message.content
         assert "Pedro went to Peru." not in message.content
 
     def test_step_mode_yields_exactly_label_count(self):
-        state = self.make_state()
-        messages = []
-        while (message := next_turn(state, TEMPLATES)) is not None:
-            messages.append(message)
-        assert len(messages) == 2
+        assert len(self.make_plan()) == 2
 
     def test_final_mode_yields_one_extra_closing_request(self):
-        state = self.make_state("final_step")
-        messages = []
-        while (message := next_turn(state, TEMPLATES)) is not None:
-            messages.append(message)
-        assert len(messages) == 3
-        assert "all the entities" in messages[-1].content
-
-    def test_calling_after_done_raises(self):
-        state = self.make_state()
-        while next_turn(state, TEMPLATES) is not None:
-            pass
-        with pytest.raises(TurnStateError):
-            next_turn(state, TEMPLATES)
+        turns = self.make_plan("final_step")
+        assert len(turns) == 3
+        assert turns[-1].label is None
+        assert "all the entities" in turns[-1].message.content
 
     def test_turn_order_follows_schema_order(self):
-        state = self.make_state()
-        first = next_turn(state, TEMPLATES)
-        second = next_turn(state, TEMPLATES)
-        assert first.content.index("location") and "person" in second.content
+        first, second = self.make_plan()
+        assert first.message.content.index("location") and "person" in second.message.content
+
+    @pytest.mark.parametrize("mode", ["step_by_step", "final_step"])
+    def test_single_turn_asks_for_every_label_at_once(self, mode):
+        (turn,) = self.make_plan(mode, method="single_turn")
+        assert turn.label is None
+        assert turn.message.content == TEMPLATES.render(
+            "user_text", text="Pedro went to Peru."
+        )
 
 
 class TestAugmentWithPos:

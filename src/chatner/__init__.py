@@ -14,20 +14,15 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .client import BackendConfig, HttpBackend, MockBackend, chat_complete
+from .client import MockBackend
 from .domain import (
     AnnotatedDocument,
     Annotation,
     EntitySchema,
-    NerConfig,
-    ValidationIssue,
-    ValidationResult,
-    annotation_text,
     document_from_record,
     document_to_record,
-    validate_document,
 )
-from .engine import FewShotNer, NerModel, PredictionResult, ZeroShotNer
+from .engine import FewShotNer, PredictionResult, ZeroShotNer
 from .errors import (
     AuthenticationError,
     BackendConnectionError,
@@ -48,92 +43,45 @@ from .errors import (
     ServerError,
     TemplateError,
 )
-from .evaluation import (
-    ClassMetrics,
-    EvalReport,
-    Matching,
-    evaluate,
-    match_annotations,
-    read_conll,
-    read_conll_file,
-)
-from .parsing import (
-    ParseReport,
-    align_texts,
-    extract_json_block,
-    parse_inline,
-    parse_json_answer,
-)
-from .prompting import (
-    ChatMessage,
-    augment_with_pos,
-    compose_system_prompt,
-    render_examples,
-    render_inline,
-    render_json,
-)
-from .templates import PromptTemplateSet, default_templates
-from .validation import check_is_contextualized, ensure_examples, ensure_texts
+from .evaluation import evaluate, read_conll_file
+from .parsing import ParseReport, parse_inline
+from .prompting import ChatMessage
 
+# The documented surface: the names the README uses, the messages
+# plan_conversation returns, the record converters and the exceptions.
+# Everything else is importable from its submodule.
 __all__ = [
     "__version__",
     "AnnotatedDocument",
     "Annotation",
     "AuthenticationError",
-    "BackendConfig",
     "BackendConnectionError",
     "BackendError",
     "BackendTimeoutError",
     "ChatMessage",
     "ChatnerError",
-    "ClassMetrics",
     "ConfigError",
     "ConllError",
     "ConversationError",
     "EntitySchema",
-    "EvalReport",
     "EvaluationError",
     "FewShotNer",
-    "HttpBackend",
     "MalformedResponseError",
-    "Matching",
     "MockBackend",
     "MockScriptError",
-    "NerConfig",
-    "NerModel",
     "NotContextualizedError",
     "ParseError",
     "ParseReport",
     "PredictionResult",
-    "PromptTemplateSet",
     "RateLimitError",
     "RenderError",
     "RetriesExhaustedError",
     "ServerError",
     "TemplateError",
-    "ValidationIssue",
-    "ValidationResult",
     "ZeroShotNer",
-    "align_texts",
-    "annotation_text",
-    "augment_with_pos",
-    "chat_complete",
-    "check_is_contextualized",
-    "compose_system_prompt",
-    "default_templates",
     "document_from_record",
     "document_to_record",
-    "ensure_examples",
-    "ensure_texts",
     "evaluate",
-    "extract_json_block",
-    "match_annotations",
     "parse_inline",
-    "parse_json_answer",
-    "read_conll",
     "read_conll_file",
-    "render_examples",
-    "render_inline",
-    "render_json",
-    "validate_document",
 ]

@@ -213,7 +213,6 @@ class NerConfig:
     answer_shape: str = "inline"
     delimiters: tuple[str, str] | None = None
     pos_mode: str = "none"
-    language: str = "en"
 
     def __post_init__(self) -> None:
         if self.prompting_method not in PROMPTING_METHODS:
@@ -243,8 +242,6 @@ class NerConfig:
                 raise ConfigError("custom delimiters require multi-turn prompting")
             if self.answer_shape != "inline":
                 raise ConfigError("custom delimiters require the inline answer shape")
-        if not isinstance(self.language, str) or not self.language:
-            raise ConfigError("language must be a non-empty string")
 
 
 def document_to_record(doc: AnnotatedDocument) -> dict:

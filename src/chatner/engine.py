@@ -24,7 +24,13 @@ from .client import (
     chat_complete,
 )
 from .domain import AnnotatedDocument, EntitySchema, NerConfig
-from .errors import ChatnerError, ConfigError, MalformedResponseError, ParseError
+from .errors import (
+    ChatnerError,
+    ConfigError,
+    MalformedResponseError,
+    NotContextualizedError,
+    ParseError,
+)
 from .parsing import ParseReport, parse_inline, parse_json_answer
 from .prompting import (
     ChatMessage,
@@ -34,7 +40,6 @@ from .prompting import (
     render_examples,
 )
 from .templates import PromptTemplateSet
-from .validation import check_is_contextualized, ensure_examples, ensure_texts
 
 
 @dataclass(frozen=True)
@@ -57,20 +62,46 @@ class PredictionResult:
 
 def _resolve_templates(
     templates: PromptTemplateSet | Mapping[str, str] | str | Path | None,
-    language: str,
 ) -> PromptTemplateSet:
     if templates is None:
-        return PromptTemplateSet.default(language)
+        return PromptTemplateSet()
     if isinstance(templates, PromptTemplateSet):
         return templates
     if isinstance(templates, (str, Path)):
-        return PromptTemplateSet.from_file(templates, language=language)
+        return PromptTemplateSet.from_file(templates)
     if isinstance(templates, Mapping):
-        return PromptTemplateSet.with_overrides(templates, language=language)
+        return PromptTemplateSet.with_overrides(templates)
     raise ConfigError(
         "templates must be a PromptTemplateSet, a mapping of overrides, "
         f"or a path, got {type(templates).__name__}"
     )
+
+
+def check_is_contextualized(model) -> None:
+    """Raise unless ``model`` has been given its entity schema."""
+    if getattr(model, "schema_", None) is None:
+        raise NotContextualizedError(
+            f"this {type(model).__name__} instance is not contextualized yet; "
+            "call contextualize(entities=...) before predict"
+        )
+
+
+def ensure_texts(texts) -> list[str]:
+    """Normalize a predict() input to a list of strings.
+
+    A bare string is rejected: it is iterable, so silently accepting it
+    would predict one document per character.
+    """
+    if isinstance(texts, str):
+        raise TypeError("pass a sequence of texts, not a single string")
+    try:
+        items = list(texts)
+    except TypeError:
+        raise TypeError(f"texts must be a sequence of strings, got {type(texts).__name__}") from None
+    for item in items:
+        if not isinstance(item, str):
+            raise TypeError(f"texts must all be strings, got {type(item).__name__}")
+    return items
 
 
 def _check_workers(workers: int) -> int:
@@ -119,7 +150,6 @@ class NerModel:
         max_tokens: int = 1024,
         max_retries: int = 3,
         max_concurrency: int = 1,
-        language: str = "en",
         templates: PromptTemplateSet | Mapping[str, str] | str | Path | None = None,
         backend: CompletionBackend | None = None,
         base_url: str = DEFAULT_BASE_URL,
@@ -138,7 +168,6 @@ class NerModel:
         self.max_tokens = max_tokens
         self.max_retries = max_retries
         self.max_concurrency = max_concurrency
-        self.language = language
         self.templates = templates
         self.backend = backend
         self.base_url = base_url
@@ -194,21 +223,20 @@ class NerModel:
             answer_shape=self.answer_shape,
             delimiters=self.delimiters,
             pos_mode=self.pos_mode,
-            language=self.language,
         )
         _check_workers(self.max_concurrency)
         if config.pos_mode == "via_hook" and self.pos_tagger is None:
             raise ConfigError("pos_mode 'via_hook' needs the pos_tagger parameter")
-        templates = _resolve_templates(self.templates, self.language)
-        checked_examples = ensure_examples(examples or (), schema, config)
+        templates = _resolve_templates(self.templates)
+        examples = tuple(examples or ())
         system = compose_system_prompt(schema, config, templates)
-        demonstrations = render_examples(checked_examples, schema, config, templates)
+        demonstrations = render_examples(examples, schema, config, templates)
         prefix = [system]
         for user, assistant in demonstrations:
             prefix.extend((user, assistant))
         self.config_ = config
         self.templates_ = templates
-        self.examples_ = checked_examples
+        self.examples_ = examples
         self.backend_ = self.backend if self.backend is not None else HttpBackend()
         self.backend_config_ = BackendConfig(
             base_url=self.base_url,

@@ -522,21 +522,17 @@ def parse_json_answer(
     completion: str,
     original: str,
     schema: EntitySchema,
-    occurrences: str = "all",
 ) -> tuple[AnnotatedDocument, ParseReport]:
     """Recover annotations from a JSON object of label -> mention list.
 
     The first balanced ``{...}`` block in the completion is decoded, so
     prose around the object is fine. Each mention is located by exact,
-    case-sensitive search in the original text; ``occurrences`` selects
-    whether every non-overlapping occurrence is annotated ("all", the
-    default) or only the first ("first"). Mentions that fail verbatim are
-    retried with surrounding whitespace trimmed, then dropped with a
-    warning. Unknown labels are dropped with a warning. A missing or
-    undecodable JSON block raises ParseError.
+    case-sensitive search in the original text, and every non-overlapping
+    occurrence is annotated. Mentions that fail verbatim are retried with
+    surrounding whitespace trimmed, then dropped with a warning. Unknown
+    labels are dropped with a warning. A missing or undecodable JSON block
+    raises ParseError.
     """
-    if occurrences not in ("all", "first"):
-        raise ConfigError(f"occurrences must be 'all' or 'first', got {occurrences!r}")
     block = extract_json_block(completion)
     if block is None:
         raise ParseError("no balanced JSON block found in the completion")
@@ -579,8 +575,6 @@ def parse_json_answer(
                     f"mention {mention!r} not found in the original text; dropped"
                 )
                 continue
-            if occurrences == "first":
-                spans = spans[:1]
             for start, end in spans:
                 annotations.add(Annotation(start, end, key))
     document = AnnotatedDocument(original, frozenset(annotations))

@@ -16,7 +16,7 @@ from .domain import (
     validate_document,
 )
 from .errors import ConfigError, RenderError
-from .templates import PromptTemplateSet, default_templates
+from .templates import PromptTemplateSet
 
 ROLES = ("system", "user", "assistant")
 
@@ -81,7 +81,7 @@ def compose_system_prompt(
     order and states the answer-shape contract the parser expects. Pure:
     identical inputs produce byte-identical output.
     """
-    templates = templates or default_templates(config.language)
+    templates = templates or PromptTemplateSet()
     entity_list = "\n".join(
         templates.render("entity_item", label=label, description=description)
         for label, description in schema.items()
@@ -185,42 +185,47 @@ def render_examples(
 ) -> tuple[tuple[ChatMessage, ChatMessage], ...]:
     """Render few-shot demonstrations as user/assistant message pairs.
 
-    Single-turn: one pair per example, the user message carrying the text
-    and the assistant message its rendering in the configured shape.
-    Multi-turn: each example expands into one pair per entity label, in
-    schema order, mirroring the turn structure of a live exchange.
+    Each example gets the user turns :func:`plan_turns` plans for its text,
+    without final-step's closing turn. Each turn is answered with the
+    example's annotations for that turn's label (every label in single-turn
+    prompting), rendered in the configured shape.
+
+    Here an example is checked only for what the renderers cannot see:
+    its type, a non-empty text and labels from the schema. Span validity
+    and overlap are left to :func:`render_inline` and :func:`render_json`,
+    which check exactly the document each answer shows, so multi-turn
+    prompting accepts one span under several labels. Every failure is a
+    ConfigError naming the example.
     """
-    templates = templates or default_templates(config.language)
+    templates = templates or PromptTemplateSet()
     pairs: list[tuple[ChatMessage, ChatMessage]] = []
-    for example in examples:
-        result = validate_document(example)
-        if not result.ok:
-            issue = result.issues[0]
-            raise RenderError(f"invalid example: {issue.reason} for {issue.annotation}")
+    for position, example in enumerate(examples):
+        if not isinstance(example, AnnotatedDocument):
+            raise ConfigError(
+                f"example {position} must be an AnnotatedDocument, "
+                f"got {type(example).__name__}"
+            )
         if not example.text:
-            raise RenderError("example documents need non-empty text")
-        for ann in example.annotations:
-            if ann.label not in schema:
-                raise RenderError(f"example label {ann.label!r} is not in the schema")
-        if config.prompting_method == "single_turn":
-            user = ChatMessage("user", templates.render("user_text", text=example.text))
-            if config.answer_shape == "json":
-                answer = render_json(example, schema)
-            else:
-                answer = render_inline(example)
-            pairs.append((user, ChatMessage("assistant", answer)))
-            continue
-        for position, label in enumerate(schema.labels):
-            if position == 0:
-                content = templates.render("turn_first", label=label, text=example.text)
-            else:
-                content = templates.render("turn_next", label=label)
-            user = ChatMessage("user", content)
-            restricted = _restricted(example, label)
-            if config.answer_shape == "json":
-                answer = render_json(restricted, EntitySchema({label: schema[label]}))
-            else:
-                answer = render_inline(restricted, config.delimiters)
+            raise ConfigError(f"example {position} has empty text")
+        unknown = sorted({ann.label for ann in example.annotations} - set(schema.labels))
+        if unknown:
+            raise ConfigError(f"example {position} uses labels outside the schema: {unknown}")
+        for user, label in plan_turns(example.text, schema, config, templates):
+            if label is None and config.prompting_method == "multi_turn":
+                continue  # final-step's closing turn is not demonstrated
+            shown, shown_schema = example, schema
+            if label is not None:
+                shown = _restricted(example, label)
+                shown_schema = EntitySchema({label: schema[label]})
+            try:
+                if config.answer_shape == "json":
+                    answer = render_json(shown, shown_schema)
+                else:
+                    # NerConfig allows delimiters only in multi-turn, where every
+                    # turn demonstrated here asks about one label.
+                    answer = render_inline(shown, config.delimiters)
+            except RenderError as exc:
+                raise ConfigError(f"example {position} cannot be demonstrated: {exc}") from exc
             pairs.append((user, ChatMessage("assistant", answer)))
     return tuple(pairs)
 
@@ -247,7 +252,7 @@ def plan_turns(
     replies, so :meth:`NerModel.predict_one` and
     :meth:`NerModel.plan_conversation` share this plan.
     """
-    templates = templates or default_templates(config.language)
+    templates = templates or PromptTemplateSet()
     if config.prompting_method == "single_turn":
         return (Turn(ChatMessage("user", templates.render("user_text", text=text)), None),)
     turns = []
@@ -280,7 +285,7 @@ def augment_with_pos(
     """
     if config.pos_mode == "none":
         return text
-    templates = templates or default_templates(config.language)
+    templates = templates or PromptTemplateSet()
     if config.pos_mode == "via_hook":
         if tagger is None:
             raise ConfigError("pos_mode 'via_hook' needs a tagger callable")

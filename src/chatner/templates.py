@@ -114,10 +114,6 @@ _ENGLISH = {
     "pos_block": "{text}\n\nPart-of-speech tags:\n{tags}",
 }
 
-# Built-in template languages. Other languages are supplied as override
-# files that replace every name they care about.
-BUILTIN_LANGUAGES: dict[str, dict[str, str]] = {"en": _ENGLISH}
-
 
 def _placeholder_names(name: str, template: str) -> set[str]:
     names: set[str] = set()
@@ -150,7 +146,7 @@ class _StrictBindings(dict):
 
 @dataclass(frozen=True)
 class PromptTemplateSet:
-    """A complete, validated set of prompt templates."""
+    """A complete, validated set of prompt templates (by default, English)."""
 
     templates: Mapping[str, str] = field(default_factory=lambda: dict(_ENGLISH))
 
@@ -184,30 +180,12 @@ class PromptTemplateSet:
             raise TemplateError(f"template {name!r} is malformed: {exc}") from exc
 
     @classmethod
-    def default(cls, language: str = "en") -> "PromptTemplateSet":
-        try:
-            base = BUILTIN_LANGUAGES[language]
-        except KeyError:
-            raise TemplateError(
-                f"no built-in templates for language {language!r}; "
-                "supply a template override file"
-            ) from None
-        return cls(dict(base))
+    def with_overrides(cls, overrides: Mapping[str, str]) -> "PromptTemplateSet":
+        """Overlay ``overrides`` on the built-in English templates."""
+        return cls({**_ENGLISH, **overrides})
 
     @classmethod
-    def with_overrides(
-        cls, overrides: Mapping[str, str], language: str = "en"
-    ) -> "PromptTemplateSet":
-        """Overlay ``overrides`` on the built-in templates for ``language``."""
-        merged = dict(BUILTIN_LANGUAGES.get(language, _ENGLISH))
-        for name in overrides:
-            if name not in TEMPLATE_PLACEHOLDERS:
-                raise TemplateError(f"unknown template name {name!r}")
-        merged.update(overrides)
-        return cls(merged)
-
-    @classmethod
-    def from_file(cls, path: str | Path, language: str = "en") -> "PromptTemplateSet":
+    def from_file(cls, path: str | Path) -> "PromptTemplateSet":
         """Load overrides from a flat JSON object of name -> template string."""
         with open(path, encoding="utf-8") as handle:
             try:
@@ -216,8 +194,4 @@ class PromptTemplateSet:
                 raise TemplateError(f"template file {path}: invalid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise TemplateError(f"template file {path} must hold a JSON object")
-        return cls.with_overrides(data, language=language)
-
-
-def default_templates(language: str = "en") -> PromptTemplateSet:
-    return PromptTemplateSet.default(language)
+        return cls.with_overrides(data)

@@ -24,12 +24,11 @@ from chatner import (
     ZeroShotNer,
     evaluate,
     parse_inline,
-    parse_json_answer,
     read_conll_file,
-    render_inline,
-    render_json,
 )
 from chatner.cli import main as cli_main
+from chatner.parsing import parse_json_answer
+from chatner.prompting import render_inline, render_json
 
 DATA = Path(__file__).parent / "data"
 SEED = 20260814

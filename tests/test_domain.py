@@ -14,13 +14,10 @@ from chatner import (
     Annotation,
     ConfigError,
     EntitySchema,
-    NerConfig,
-    annotation_text,
     document_from_record,
     document_to_record,
-    validate_document,
 )
-from chatner.domain import first_overlap
+from chatner.domain import NerConfig, annotation_text, first_overlap, validate_document
 
 
 class TestAnnotation:
@@ -193,7 +190,7 @@ class TestNerConfig:
         assert config.prompting_method == "single_turn"
         assert config.answer_shape == "inline"
         assert config.delimiters is None
-        assert config.language == "en"
+        assert config.pos_mode == "none"
 
     def test_delimiters_require_multi_turn(self):
         with pytest.raises(ConfigError, match="custom delimiters require multi-turn"):
@@ -229,7 +226,6 @@ class TestNerConfig:
             "answer_shape",
             "delimiters",
             "pos_mode",
-            "language",
         ]
 
 

@@ -13,13 +13,13 @@ from chatner import (
     ConfigError,
     EntitySchema,
     FewShotNer,
-    NerModel,
     NotContextualizedError,
     ParseError,
     ZeroShotNer,
-    validate_document,
 )
 from chatner.client import MockBackend
+from chatner.domain import validate_document
+from chatner.engine import NerModel
 from chatner.errors import MalformedResponseError, MockScriptError
 
 SCHEMA = {"person": "Names of people.", "location": "Geographic places."}
@@ -96,15 +96,26 @@ class TestContextualize:
             FewShotNer().contextualize(SCHEMA, examples=[])
 
     def test_example_with_out_of_schema_label_rejected(self):
+        # Multi-turn renders one label per turn, so this check is all that
+        # keeps an unknown label from being dropped silently there.
         bad = AnnotatedDocument("Lima", [Annotation(0, 4, "city")])
-        with pytest.raises(ConfigError, match="city"):
-            FewShotNer().contextualize(SCHEMA, examples=[bad])
+        for method in ("single_turn", "multi_turn"):
+            with pytest.raises(ConfigError, match="example 0 .*city"):
+                FewShotNer(method=method).contextualize(SCHEMA, examples=[bad])
+
+    def test_example_of_wrong_type_or_empty_text_rejected(self):
+        with pytest.raises(ConfigError, match="example 0 must be an AnnotatedDocument"):
+            FewShotNer().contextualize(SCHEMA, examples=[{"text": "Lima"}])
+        with pytest.raises(ConfigError, match="example 1 has empty text"):
+            FewShotNer().contextualize(
+                SCHEMA, examples=[AnnotatedDocument("Lima"), AnnotatedDocument("")]
+            )
 
     def test_overlapping_example_rejected_for_inline_shape(self):
         overlapping = AnnotatedDocument(
             "Peru", [Annotation(0, 4, "location"), Annotation(0, 4, "person")]
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="example 0 .*overlapping"):
             FewShotNer(answer_shape="inline").contextualize(
                 SCHEMA, examples=[overlapping]
             )
@@ -112,10 +123,34 @@ class TestContextualize:
             SCHEMA, examples=[overlapping]
         )
 
+    @pytest.mark.parametrize("delimiters", [None, ("@@", "##")])
+    def test_multi_turn_demonstrates_one_span_under_two_labels(self, delimiters):
+        peru = AnnotatedDocument(
+            "Peru", [Annotation(0, 4, "location"), Annotation(0, 4, "person")]
+        )
+        model = FewShotNer(method="multi_turn", delimiters=delimiters, backend=seq("x"))
+        model.contextualize({"location": "Places.", "person": "People."}, examples=[peru])
+        answers = [message.content for message in model.prefix_[2::2]]
+        if delimiters is None:
+            assert answers == ["<location>Peru</location>", "<person>Peru</person>"]
+        else:
+            assert answers == ["@@Peru##", "@@Peru##"]
+
+    def test_multi_turn_rejects_same_label_overlap(self):
+        nested = AnnotatedDocument(
+            "New York", [Annotation(0, 8, "location"), Annotation(4, 8, "location")]
+        )
+        with pytest.raises(ConfigError, match="example 0 .*overlapping"):
+            FewShotNer(method="multi_turn").contextualize(SCHEMA, examples=[nested])
+
     def test_invalid_example_spans_rejected(self):
         broken = AnnotatedDocument("ab", [Annotation(0, 9, "person")])
-        with pytest.raises(ConfigError):
-            FewShotNer().contextualize(SCHEMA, examples=[broken])
+        for method in ("single_turn", "multi_turn"):
+            for shape in ("inline", "json"):
+                with pytest.raises(ConfigError, match="example 0 .*past the end"):
+                    FewShotNer(method=method, answer_shape=shape).contextualize(
+                        SCHEMA, examples=[broken]
+                    )
 
     def test_delimiters_with_single_turn_rejected(self):
         with pytest.raises(ConfigError, match="custom delimiters require multi-turn"):

@@ -13,11 +13,15 @@ from chatner import (
     ConllError,
     EvaluationError,
     evaluate,
-    match_annotations,
-    read_conll,
     read_conll_file,
 )
-from chatner.evaluation import ClassMetrics, ConllSentence, sentence_to_document
+from chatner.evaluation import (
+    ClassMetrics,
+    ConllSentence,
+    match_annotations,
+    read_conll,
+    sentence_to_document,
+)
 
 DATA = Path(__file__).parent / "data"
 

@@ -15,15 +15,12 @@ from chatner import (
     ConfigError,
     EntitySchema,
     ParseError,
-    align_texts,
-    annotation_text,
-    extract_json_block,
     parse_inline,
-    parse_json_answer,
-    render_inline,
-    render_json,
 )
 from chatner import parsing
+from chatner.domain import annotation_text
+from chatner.parsing import align_texts, extract_json_block, parse_json_answer
+from chatner.prompting import render_inline, render_json
 
 
 @pytest.fixture
@@ -497,16 +494,6 @@ class TestParseJsonAnswer:
         schema = EntitySchema({"x": "Xs."})
         doc, _ = parse_json_answer('{"x": ["aa"]}', "aaaa", schema)
         assert doc.annotations == {Annotation(0, 2, "x"), Annotation(2, 4, "x")}
-
-    def test_first_occurrence_mode(self):
-        schema = EntitySchema({"x": "Xs."})
-        doc, _ = parse_json_answer('{"x": ["aa"]}', "aaaa", schema, occurrences="first")
-        assert doc.annotations == {Annotation(0, 2, "x")}
-
-    def test_occurrences_value_validated(self):
-        schema = EntitySchema({"x": "Xs."})
-        with pytest.raises(ConfigError):
-            parse_json_answer('{"x": []}', "a", schema, occurrences="some")
 
     def test_prose_around_object_tolerated(self, pl_schema):
         completion = 'Here you go:\n{"person": ["Ana"], "location": []}\nDone.'

@@ -12,19 +12,21 @@ from chatner import (
     ChatMessage,
     ConfigError,
     EntitySchema,
-    NerConfig,
     RenderError,
+)
+from chatner.client import BackendConfig, MockBackend
+from chatner.domain import NerConfig
+from chatner.prompting import (
     augment_with_pos,
     compose_system_prompt,
-    default_templates,
+    plan_turns,
     render_examples,
     render_inline,
     render_json,
 )
-from chatner.client import BackendConfig, MockBackend
-from chatner.prompting import plan_turns
+from chatner.templates import PromptTemplateSet
 
-TEMPLATES = default_templates()
+TEMPLATES = PromptTemplateSet()
 
 
 @pytest.fixture
@@ -195,6 +197,21 @@ class TestRenderExamples:
         )
         assert len(pairs) == len(golden_schema)
 
+    def test_final_step_demonstrations_stop_before_the_closing_turn(
+        self, fewshot_examples, golden_schema
+    ):
+        step, final = (
+            render_examples(
+                fewshot_examples,
+                golden_schema,
+                NerConfig(prompting_method="multi_turn", multi_turn_mode=mode),
+                TEMPLATES,
+            )
+            for mode in ("step_by_step", "final_step")
+        )
+        assert final == step
+        assert len(final) == len(fewshot_examples) * len(golden_schema)
+
     def test_multi_turn_first_pair_carries_text(self, fewshot_examples, golden_schema):
         pairs = render_examples(
             fewshot_examples[:1],
@@ -229,7 +246,8 @@ class TestRenderExamples:
 
     def test_out_of_schema_example_rejected(self):
         doc = AnnotatedDocument("Lima", [Annotation(0, 4, "city")])
-        with pytest.raises(RenderError, match="not in the schema"):
+        expected = r"example 0 uses labels outside the schema: \['city'\]"
+        with pytest.raises(ConfigError, match=expected):
             render_examples(
                 [doc], EntitySchema({"person": "People."}), NerConfig(), TEMPLATES
             )

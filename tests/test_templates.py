@@ -1,4 +1,4 @@
-"""Prompt template registry: strict placeholders, overrides, languages."""
+"""Prompt template registry: strict placeholders and overrides."""
 
 from __future__ import annotations
 
@@ -6,27 +6,23 @@ import json
 
 import pytest
 
-from chatner import PromptTemplateSet, TemplateError, default_templates
-from chatner.templates import TEMPLATE_PLACEHOLDERS
+from chatner import TemplateError
+from chatner.templates import TEMPLATE_PLACEHOLDERS, PromptTemplateSet
 
 
 class TestDefaults:
     def test_default_set_is_complete(self):
-        templates = default_templates()
+        templates = PromptTemplateSet()
         for name in TEMPLATE_PLACEHOLDERS:
             assert name in templates.templates
 
     def test_render_binds_placeholders(self):
-        out = default_templates().render("user_text", text="hello")
+        out = PromptTemplateSet().render("user_text", text="hello")
         assert out == "Text:\nhello"
 
-    def test_unknown_language_rejected(self):
-        with pytest.raises(TemplateError, match="no built-in templates"):
-            default_templates("tlh")
-
     def test_rendering_is_pure(self):
-        a = default_templates().render("turn_next", label="person")
-        b = default_templates().render("turn_next", label="person")
+        a = PromptTemplateSet().render("turn_next", label="person")
+        b = PromptTemplateSet().render("turn_next", label="person")
         assert a == b
 
 
@@ -44,25 +40,25 @@ class TestStrictness:
             PromptTemplateSet.with_overrides({"user_text": "Text: {}"})
 
     def test_missing_template_rejected(self):
-        incomplete = dict(default_templates().templates)
+        incomplete = dict(PromptTemplateSet().templates)
         del incomplete["user_text"]
         with pytest.raises(TemplateError, match="missing"):
             PromptTemplateSet(templates=incomplete)
 
     def test_render_unknown_name_rejected(self):
         with pytest.raises(TemplateError):
-            default_templates().render("no_such_template")
+            PromptTemplateSet().render("no_such_template")
 
     def test_render_missing_value_rejected(self):
         with pytest.raises(TemplateError):
-            default_templates().render("user_text")
+            PromptTemplateSet().render("user_text")
 
 
 class TestOverrides:
     def test_override_replaces_only_named_templates(self):
         templates = PromptTemplateSet.with_overrides({"user_text": "Texto:\n{text}"})
         assert templates.render("user_text", text="hola") == "Texto:\nhola"
-        assert templates.render("turn_next", label="x") == default_templates().render(
+        assert templates.render("turn_next", label="x") == PromptTemplateSet().render(
             "turn_next", label="x"
         )
 

@@ -256,7 +256,11 @@ def document_to_record(doc: AnnotatedDocument) -> dict:
 
 
 def document_from_record(record: Mapping) -> AnnotatedDocument:
-    """Rebuild a document from its record form. Raises ValueError on bad shape."""
+    """Rebuild a document from its record form.
+
+    Raises ValueError on a bad shape and on a span that does not fit the
+    text (see :func:`validate_document`).
+    """
     if not isinstance(record, Mapping):
         raise ValueError(f"document record must be an object, got {type(record).__name__}")
     try:
@@ -273,4 +277,12 @@ def document_from_record(record: Mapping) -> AnnotatedDocument:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad annotation entry {entry!r}: {exc}") from exc
-    return AnnotatedDocument(text, frozenset(annotations))
+    doc = AnnotatedDocument(text, frozenset(annotations))
+    issues = validate_document(doc).issues
+    if issues:
+        ann = issues[0].annotation
+        raise ValueError(
+            f"annotation ({ann.start}, {ann.end}, {ann.label!r}) does not fit "
+            f"the text: {issues[0].reason}"
+        )
+    return doc

@@ -9,126 +9,75 @@ recall, and F1.
 
 from __future__ import annotations
 
+import bisect
 import io
 import json
-import re
+import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .domain import AnnotatedDocument, Annotation
 from .errors import ConllError, EvaluationError
 
-_TAG_RE = re.compile(r"^(?:O|[BI]-.+)$")
-
 MATCHING_MODES = ("relaxed", "strict")
 
 
-@dataclass(frozen=True)
-class ConllSentence:
-    """One sentence of token-per-line data: tokens and their NER tags."""
-
-    tokens: tuple[str, ...]
-    tags: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.tokens) != len(self.tags):
-            raise ConllError(
-                f"sentence has {len(self.tokens)} tokens but {len(self.tags)} tags"
-            )
-        for tag in self.tags:
-            if not _TAG_RE.match(tag):
-                raise ConllError(f"malformed NER tag {tag!r}")
-
-
-def read_conll_sentences(lines: Iterable[str]) -> Iterator[ConllSentence]:
-    """Parse whitespace-column CoNLL lines into sentences.
+def _read_documents(lines: Iterable[str]) -> Iterator[AnnotatedDocument]:
+    """Turn whitespace-column CoNLL lines into documents as they are read.
 
     The token is the first column and the NER tag the last; a blank line
-    ends a sentence; ``-DOCSTART-`` lines are skipped.
+    ends a sentence; ``-DOCSTART-`` lines are skipped. The text is the
+    tokens joined by single spaces. Both IOB1 and IOB2 are accepted: ``B-``
+    always starts a span, and an ``I-`` tag starts one too when no span of
+    that label is open.
     """
     tokens: list[str] = []
-    tags: list[str] = []
-    for number, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            if tokens:
-                yield ConllSentence(tuple(tokens), tuple(tags))
-                tokens, tags = [], []
-            continue
-        columns = line.split()
-        if columns[0] == "-DOCSTART-":
-            continue
-        if len(columns) < 2:
-            raise ConllError(f"line {number}: expected at least 2 columns, got {line!r}")
-        tag = columns[-1]
-        if not _TAG_RE.match(tag):
-            raise ConllError(f"line {number}: malformed NER tag {tag!r}")
-        tokens.append(columns[0])
-        tags.append(tag)
-    if tokens:
-        yield ConllSentence(tuple(tokens), tuple(tags))
-
-
-def sentence_to_document(sentence: ConllSentence) -> AnnotatedDocument:
-    """Rebuild text (tokens joined by single spaces) and IOB runs as spans.
-
-    Both IOB1 and IOB2 are accepted: ``B-`` always starts a span, and an
-    ``I-`` tag starts one too when no span of that label is open.
-    """
-    offsets: list[tuple[int, int]] = []
-    cursor = 0
-    for token in sentence.tokens:
-        offsets.append((cursor, cursor + len(token)))
-        cursor += len(token) + 1
-    text = " ".join(sentence.tokens)
-
     annotations: list[Annotation] = []
+    cursor = open_start = open_end = 0
     open_label: str | None = None
-    open_start = 0
-    open_end = 0
-
-    def close() -> None:
-        nonlocal open_label
-        if open_label is not None:
+    # A blank line reads as an O tag that also ends the sentence; one more
+    # after the last line flushes the final sentence.
+    for number, line in enumerate(chain(lines, [""]), start=1):
+        columns = line.split()
+        if columns and columns[0] == "-DOCSTART-":
+            continue
+        if len(columns) == 1:
+            shown = line.rstrip("\n")
+            raise ConllError(f"line {number}: expected at least 2 columns, got {shown!r}")
+        tag = columns[-1] if columns else "O"
+        prefix, _, label = tag.partition("-")
+        if tag != "O" and (prefix not in ("B", "I") or not label):
+            raise ConllError(f"line {number}: malformed NER tag {tag!r}")
+        if open_label is not None and (prefix != "I" or label != open_label):
             annotations.append(Annotation(open_start, open_end, open_label))
             open_label = None
-
-    for (start, end), tag in zip(offsets, sentence.tags):
-        if tag == "O":
-            close()
+        if not columns:
+            if tokens:
+                yield AnnotatedDocument(" ".join(tokens), annotations)
+                tokens, annotations, cursor = [], [], 0
             continue
-        prefix, label = tag.split("-", 1)
-        if prefix == "B" or open_label != label:
-            close()
-            open_label = label
-            open_start = start
-        open_end = end
-    close()
-    return AnnotatedDocument(text, annotations)
+        token = columns[0]
+        if label:
+            if open_label is None:
+                open_label, open_start = label, cursor
+            open_end = cursor + len(token)
+        tokens.append(token)
+        cursor += len(token) + 1
 
 
 def read_conll(stream: Iterable[str] | str) -> list[AnnotatedDocument]:
     """Read CoNLL content (an iterable of lines or one string) as documents."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    return [sentence_to_document(s) for s in read_conll_sentences(stream)]
+    return list(_read_documents(io.StringIO(stream) if isinstance(stream, str) else stream))
 
 
 def read_conll_file(path: str | Path) -> list[AnnotatedDocument]:
     with open(path, encoding="utf-8") as handle:
-        return [sentence_to_document(s) for s in read_conll_sentences(handle)]
+        return list(_read_documents(handle))
 
 
 # -- matching ---------------------------------------------------------------
-
-
-def _compatible(predicted: Annotation, gold: Annotation, matching: str) -> bool:
-    if predicted.label != gold.label:
-        return False
-    if matching == "strict":
-        return predicted.start == gold.start and predicted.end == gold.end
-    return max(predicted.start, gold.start) < min(predicted.end, gold.end)
 
 
 @dataclass(frozen=True)
@@ -147,9 +96,14 @@ def match_annotations(
 ) -> Matching:
     """Pair up compatible annotations, each used at most once.
 
-    Predictions are processed in (start, end, label) order and may bump an
-    earlier pairing onto another gold span when that frees a match, so the
-    pairing always has maximum cardinality and is deterministic.
+    Strict matching pairs identical annotations. Relaxed matching pairs
+    spans of one label that share a character: predictions are taken in
+    (end, start) order, and each takes the unpaired overlapping gold span
+    of its label that ends first. As both sides are intervals, this greedy
+    pairing has maximum cardinality (the exchange argument of Glover's
+    convex bipartite matching). Empty and inverted spans overlap nothing.
+    The pairing is deterministic and its pairs follow the predictions in
+    (start, end, label) order.
     """
     if matching not in MATCHING_MODES:
         raise EvaluationError(
@@ -157,33 +111,40 @@ def match_annotations(
         )
     pred = sorted(predicted)
     gold_list = sorted(gold)
-    owner: dict[int, int] = {}  # gold index -> predicted index
-
-    def assign(p: int, banned: set[int]) -> bool:
-        for g in range(len(gold_list)):
-            if g in banned or not _compatible(pred[p], gold_list[g], matching):
+    partner: dict[int, int] = {}  # predicted index -> gold index
+    if matching == "strict":
+        free: dict[Annotation, list[int]] = {}  # the copies still unpaired
+        for g, ann in enumerate(gold_list):
+            free.setdefault(ann, []).append(g)
+        for p, ann in enumerate(pred):
+            if free.get(ann):
+                partner[p] = free[ann].pop()
+    else:
+        # Per label, the non-empty gold spans not yet begun, latest start first.
+        unbegun: dict[str, list[int]] = {}
+        for g in reversed(range(len(gold_list))):
+            if gold_list[g].start < gold_list[g].end:
+                unbegun.setdefault(gold_list[g].label, []).append(g)
+        # Per label, (end, start, index) of the gold spans that start before
+        # the current prediction ends and are still unpaired.
+        begun: dict[str, list[tuple[int, int, int]]] = {}
+        for p in sorted(range(len(pred)), key=lambda p: (pred[p].end, pred[p].start)):
+            ann = pred[p]
+            waiting = unbegun.get(ann.label)
+            if ann.start >= ann.end or waiting is None:
                 continue
-            banned.add(g)
-            if g not in owner or assign(owner[g], banned):
-                owner[g] = p
-                return True
-        return False
-
-    for p in range(len(pred)):
-        assign(p, set())
-
-    matched_pred = set(owner.values())
-    pairs = tuple(
-        (pred[p], gold_list[g]) for g, p in sorted(owner.items(), key=lambda kv: kv[1])
-    )
+            spans = begun.setdefault(ann.label, [])
+            while waiting and gold_list[waiting[-1]].start < ann.end:
+                g = waiting.pop()
+                bisect.insort(spans, (gold_list[g].end, gold_list[g].start, g))
+            first = bisect.bisect_right(spans, (ann.start, math.inf))
+            if first < len(spans):
+                partner[p] = spans.pop(first)[2]
+    paired_gold = set(partner.values())
     return Matching(
-        pairs=pairs,
-        unmatched_predicted=tuple(
-            pred[p] for p in range(len(pred)) if p not in matched_pred
-        ),
-        unmatched_gold=tuple(
-            gold_list[g] for g in range(len(gold_list)) if g not in owner
-        ),
+        pairs=tuple((pred[p], gold_list[g]) for p, g in sorted(partner.items())),
+        unmatched_predicted=tuple(a for p, a in enumerate(pred) if p not in partner),
+        unmatched_gold=tuple(a for g, a in enumerate(gold_list) if g not in paired_gold),
     )
 
 

@@ -526,22 +526,29 @@ def parse_json_answer(
     """Recover annotations from a JSON object of label -> mention list.
 
     The first balanced ``{...}`` block in the completion is decoded, so
-    prose around the object is fine. Each mention is located by exact,
-    case-sensitive search in the original text, and every non-overlapping
-    occurrence is annotated. Mentions that fail verbatim are retried with
-    surrounding whitespace trimmed, then dropped with a warning. Unknown
-    labels are dropped with a warning. A missing or undecodable JSON block
-    raises ParseError.
+    prose around the object is fine. When it does not decode (a format hint
+    such as ``{label: mentions}``, say), the first balanced block after it
+    is decoded instead, and no further one. Each mention is located by
+    exact, case-sensitive search in the original text, and every
+    non-overlapping occurrence is annotated. Mentions that fail verbatim
+    are retried with surrounding whitespace trimmed, then dropped with a
+    warning. Unknown labels are dropped with a warning. A missing or
+    undecodable JSON block raises ParseError, also when it nests too deep
+    to decode.
     """
     block = extract_json_block(completion)
     if block is None:
         raise ParseError("no balanced JSON block found in the completion")
     try:
         data = json.loads(block)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"completion JSON is invalid: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParseError("completion JSON is not an object")
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # find() lands on the block's own start: an equal block starting
+        # earlier would have closed first and been returned instead.
+        after = extract_json_block(completion[completion.find(block) + len(block) :])
+        try:
+            data = json.loads(after or "")  # no second block: "" fails too
+        except (json.JSONDecodeError, RecursionError):
+            raise ParseError(f"completion JSON is invalid: {exc}") from exc
     warnings: list[str] = []
     annotations: set[Annotation] = set()
     for key, value in data.items():

@@ -220,6 +220,22 @@ class TestEvaluate:
         payload = json.loads(report_path.read_text(encoding="utf-8"))
         assert payload["micro"]["f1"] == 1.0
 
+    def test_prediction_span_outside_its_text_fatal(self, runner, workdir):
+        gold = workdir / "gold.conll"
+        gold.write_text("a O\nb O\n", encoding="utf-8")
+        predictions = workdir / "preds.jsonl"
+        predictions.write_text(
+            json.dumps({"text": "a b", "annotations": [{"start": 0, "end": 9, "label": "x"}]})
+            + "\n",
+            encoding="utf-8",
+        )
+        result = runner.invoke(
+            main, ["evaluate", "--gold", str(gold), "--predictions", str(predictions)]
+        )
+        assert result.exit_code == 1
+        assert str(predictions) in result.stderr
+        assert "past the end of the text" in result.stderr
+
     def test_scoring_without_predictions_needs_schema(self, runner, workdir):
         gold = DATA / "sample50_iob2.conll"
         result = runner.invoke(main, ["evaluate", "--gold", str(gold)])

@@ -246,3 +246,13 @@ class TestRecordRoundTrip:
     def test_bad_annotation_rejected(self):
         with pytest.raises(ValueError):
             document_from_record({"text": "ab", "annotations": [{"start": 0}]})
+
+    @pytest.mark.parametrize(
+        "start, end, reason",
+        [(0, 9, "past the end"), (-1, 1, "negative start"), (1, 1, "empty span"),
+         (2, 1, "inverted span")],
+    )
+    def test_span_that_does_not_fit_the_text_rejected(self, start, end, reason):
+        record = {"text": "ab", "annotations": [{"start": start, "end": end, "label": "x"}]}
+        with pytest.raises(ValueError, match=reason):
+            document_from_record(record)

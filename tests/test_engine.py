@@ -444,6 +444,16 @@ class TestPredictBatch:
         assert results[1].document.text == "no rule covers this"
         assert results[1].document.annotations == frozenset()
 
+    def test_too_deep_json_fails_only_its_document(self):
+        deep = '{"a":' * 5_000 + "{}" + "}" * 5_000
+        backend = seq(deep, deep, '{"person": ["Ada"], "location": []}')
+        model = ZeroShotNer(answer_shape="json", backend=backend).contextualize(SCHEMA)
+        results = model.predict(["Ada wrote", "Ada"])
+        assert len(results) == 2
+        assert isinstance(results[0].error, ParseError)
+        assert results[1].ok
+        assert results[1].document.annotations == {Annotation(0, 3, "person")}
+
     def test_returned_documents_validate(self):
         model, _ = self.make_model()
         for result in model.predict(["Ana is here", "Peru is far"]):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chatner import (
     AnnotatedDocument,
@@ -15,25 +19,9 @@ from chatner import (
     evaluate,
     read_conll_file,
 )
-from chatner.evaluation import (
-    ClassMetrics,
-    ConllSentence,
-    match_annotations,
-    read_conll,
-    sentence_to_document,
-)
+from chatner.evaluation import ClassMetrics, match_annotations, read_conll
 
 DATA = Path(__file__).parent / "data"
-
-
-class TestConllSentence:
-    def test_ragged_lengths_rejected(self):
-        with pytest.raises(ConllError):
-            ConllSentence(("a", "b"), ("O",))
-
-    def test_malformed_tag_rejected(self):
-        with pytest.raises(ConllError):
-            ConllSentence(("a",), ("Q-LOC",))
 
 
 class TestReadConll:
@@ -46,6 +34,11 @@ class TestReadConll:
     def test_all_o_sentence_has_no_annotations(self):
         docs = read_conll("just O\nwords O\n")
         assert docs[0].annotations == frozenset()
+
+    def test_offsets_follow_single_space_joining(self):
+        docs = read_conll("New B-LOC\nYork I-LOC\nis O\nbig O\n")
+        assert docs[0].text == "New York is big"
+        assert docs[0].annotations == {Annotation(0, 8, "LOC")}
 
     def test_multi_token_span(self):
         docs = read_conll("New B-LOC\nYork I-LOC\n")
@@ -106,14 +99,6 @@ class TestReadConll:
             assert a.annotations == b.annotations
 
 
-class TestSentenceToDocument:
-    def test_offsets_follow_single_space_joining(self):
-        sentence = ConllSentence(("New", "York", "is", "big"), ("B-LOC", "I-LOC", "O", "O"))
-        doc = sentence_to_document(sentence)
-        assert doc.text == "New York is big"
-        assert doc.annotations == {Annotation(0, 8, "LOC")}
-
-
 class TestMatching:
     def test_exact_agreement(self):
         matching = match_annotations([Annotation(0, 4, "LOC")], [Annotation(0, 4, "LOC")], "relaxed")
@@ -145,8 +130,8 @@ class TestMatching:
         assert len(matching.unmatched_predicted) == 1
 
     def test_matching_has_maximum_cardinality(self):
-        # A first-fit pairing in sorted order would match (0,10) to (2,3)
-        # and strand (2,3); the augmenting pass recovers both pairs.
+        # A first-fit pairing in start order would match (0,10) to (2,3)
+        # and strand (2,3); taking predictions by their end recovers both.
         predicted = [Annotation(0, 10, "L"), Annotation(2, 3, "L")]
         gold = [Annotation(2, 3, "L"), Annotation(8, 9, "L")]
         matching = match_annotations(predicted, gold, "relaxed")
@@ -168,6 +153,81 @@ class TestMatching:
         first = match_annotations(predicted, gold, "relaxed")
         second = match_annotations(reversed(predicted), list(gold), "relaxed")
         assert first == second
+
+    def test_empty_and_inverted_spans_pair_only_strictly(self):
+        spans = [Annotation(3, 3, "L"), Annotation(5, 2, "L")]
+        wide = [Annotation(0, 9, "L")]
+        assert match_annotations(spans, wide + spans, "relaxed").pairs == ()
+        assert match_annotations(wide + spans, spans, "relaxed").pairs == ()
+        assert len(match_annotations(spans, spans, "strict").pairs) == 2
+
+    @staticmethod
+    def _compatible(p, g, matching):
+        if matching == "strict":
+            return p == g
+        return p.label == g.label and max(p.start, g.start) < min(p.end, g.end)
+
+    def _oracle_pairs(self, predicted, gold, matching):
+        """Maximum pairing size by trying every injection of the smaller side."""
+        small, large = sorted((predicted, gold), key=len)
+        return max(
+            sum(self._compatible(a, b, matching) for a, b in zip(small, chosen))
+            for chosen in itertools.permutations(large, len(small))
+        )
+
+    # Spans may be empty or inverted, and a side may repeat a span.
+    SPANS = st.lists(
+        st.builds(Annotation, st.integers(0, 6), st.integers(0, 6), st.sampled_from("ab")),
+        max_size=5,
+    )
+
+    @given(SPANS, SPANS, st.sampled_from(["relaxed", "strict"]))
+    @settings(max_examples=400, deadline=None)
+    def test_pair_counts_equal_brute_force(self, predicted, gold, matching):
+        result = match_annotations(predicted, gold, matching)
+        assert len(result.pairs) == self._oracle_pairs(predicted, gold, matching)
+        assert all(self._compatible(p, g, matching) for p, g in result.pairs)
+        used_pred = [p for p, _ in result.pairs] + list(result.unmatched_predicted)
+        used_gold = [g for _, g in result.pairs] + list(result.unmatched_gold)
+        assert sorted(used_pred) == sorted(predicted)
+        assert sorted(used_gold) == sorted(gold)
+
+
+class TestAdversarialSizes:
+    """Loose time bounds that a super-linear matcher would blow.
+
+    Each case takes well under a second on a 2-vCPU machine. Inputs of
+    thousands of spans also raise RecursionError on any recursion as deep
+    as the input.
+    """
+
+    TIME_LIMIT_S = 5.0
+
+    def _timed(self, case, predicted, gold):
+        started = time.perf_counter()
+        try:
+            result = match_annotations(predicted, gold, "relaxed")
+        except RecursionError:
+            pytest.fail(f"matching recursed as deep as the input on {case}")
+        elapsed = time.perf_counter() - started
+        assert elapsed < self.TIME_LIMIT_S, f"{case} took {elapsed:.2f} s"
+        return result
+
+    def test_overlapping_chain(self):
+        # Each prediction overlaps the gold spans on either side of it; the
+        # one perfect matching pairs each with the gold span to its right.
+        n = 5_000
+        predicted = [Annotation(2 * k + 1, 2 * k + 3, "L") for k in range(n)]
+        gold = [Annotation(2 * k + 2, 2 * k + 4, "L") for k in range(n)]
+        result = self._timed("the overlapping chain", predicted, gold)
+        assert len(result.pairs) == n
+
+    def test_nested_gold_over_unit_predictions(self):
+        n = 20_000
+        gold = [Annotation(i, 2 * n - i, "L") for i in range(n)]
+        predicted = [Annotation(j, j + 1, "L") for j in range(n)]
+        result = self._timed("nested gold spans", predicted, gold)
+        assert len(result.pairs) == n
 
 
 class TestClassMetrics:

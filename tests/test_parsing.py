@@ -388,6 +388,17 @@ class TestAdversarialSizes:
         for ann in doc.annotations:
             assert doc.text[ann.start : ann.end] in stripped
 
+    def test_decoy_blocks_within_bounds(self):
+        # Every block leaves an unclosed brace before it, so each scan for a
+        # block runs to the end: decoding block after block is quadratic.
+        completion = "{ {x} " * 10_000
+
+        def parse():
+            with pytest.raises(ParseError):
+                parse_json_answer(completion, "x", self.SCHEMA)
+
+        self._timed("20,000 opening braces", parse)
+
     def test_stray_closing_tags_within_bounds(self):
         n = 8_000
         schema = EntitySchema({"PER": "People.", "LOC": "Places."})
@@ -534,6 +545,21 @@ class TestParseJsonAnswer:
     def test_undecodable_object_raises(self, pl_schema):
         with pytest.raises(ParseError):
             parse_json_answer("{'person': [}", "Ana", pl_schema)
+
+    def test_decoy_block_before_the_answer_is_read_past(self, pl_schema):
+        completion = 'Format {label: mentions}: {"person": ["Ada"]}'
+        doc, _ = parse_json_answer(completion, "Ada wrote", pl_schema)
+        assert doc.annotations == {Annotation(0, 3, "person")}
+
+    def test_only_one_block_after_a_decoy_is_tried(self, pl_schema):
+        completion = '{label: mentions} {again} {"person": ["Ada"]}'
+        with pytest.raises(ParseError, match="property name"):
+            parse_json_answer(completion, "Ada wrote", pl_schema)
+
+    def test_too_deep_object_raises_parse_error(self, pl_schema):
+        completion = '{"a":' * 5_000 + "{}" + "}" * 5_000
+        with pytest.raises(ParseError, match="recursion"):
+            parse_json_answer(completion, "Ada", pl_schema)
 
 
 @st.composite

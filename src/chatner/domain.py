@@ -258,7 +258,8 @@ def document_to_record(doc: AnnotatedDocument) -> dict:
 def document_from_record(record: Mapping) -> AnnotatedDocument:
     """Rebuild a document from its record form.
 
-    Raises ValueError on a bad shape and on a span that does not fit the
+    Raises ValueError on a bad shape (offsets must be ints, not bools or
+    floats; labels non-empty strings) and on a span that does not fit the
     text (see :func:`validate_document`).
     """
     if not isinstance(record, Mapping):
@@ -269,14 +270,24 @@ def document_from_record(record: Mapping) -> AnnotatedDocument:
         raise ValueError("document record is missing the 'text' field") from None
     if not isinstance(text, str):
         raise ValueError("document 'text' must be a string")
+    entries = record.get("annotations", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"document 'annotations' must be a list, got {entries!r}")
     annotations = []
-    for entry in record.get("annotations", []):
-        try:
-            annotations.append(
-                Annotation(int(entry["start"]), int(entry["end"]), str(entry["label"]))
+    for entry in entries:
+        # Checked, not coerced: int() would truncate 0.5 and read True as 1.
+        if not (
+            isinstance(entry, Mapping)
+            and type(entry.get("start")) is int
+            and type(entry.get("end")) is int
+            and isinstance(entry.get("label"), str)
+            and entry["label"]
+        ):
+            raise ValueError(
+                f"bad annotation entry {entry!r}: needs integer 'start' and "
+                "'end' and a non-empty string 'label'"
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad annotation entry {entry!r}: {exc}") from exc
+        annotations.append(Annotation(entry["start"], entry["end"], entry["label"]))
     doc = AnnotatedDocument(text, frozenset(annotations))
     issues = validate_document(doc).issues
     if issues:

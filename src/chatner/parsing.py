@@ -21,9 +21,10 @@ import difflib
 import json
 import re
 from array import array
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Iterable
+from bisect import bisect_right
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Sequence
 
 from .domain import AnnotatedDocument, Annotation, EntitySchema
 from .errors import ConfigError, ParseError
@@ -40,73 +41,42 @@ _DIFF_BUDGET = 1_000_000
 # grows with the product of the two lengths; longer gaps map proportionally.
 _REFINE_LIMIT = 256
 
-
-@dataclass(frozen=True)
-class AlignedSegment:
-    """A contiguous region of the stripped completion mapped to the original."""
-
-    stripped_start: int
-    stripped_end: int
-    original_start: int
-    original_end: int
-    quality: float
+# (s_lo, s_hi, o_lo, o_hi): a stripped range and the original range it maps to.
+_Segment = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
 class AlignmentMap:
     """Monotone mapping from stripped-completion offsets to original offsets.
 
-    Segments tile the stripped text left to right; each carries a match
-    quality in [0, 1], where 1.0 means the region is a verbatim copy.
+    Segments ``(s_lo, s_hi, o_lo, o_hi)`` tile the stripped text left to
+    right, none of them empty on the stripped side. A segment maps its
+    offsets proportionally, which is offset by offset when both sides have
+    equal lengths.
     """
 
-    segments: tuple[AlignedSegment, ...]
-    _starts: list[int] = field(init=False, repr=False, compare=False)
+    segments: tuple[_Segment, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_starts", [seg.stripped_start for seg in self.segments]
-        )
-
-    def map_offset(self, offset: int, *, prefer_end: bool = False) -> tuple[int, float]:
-        """Map one stripped offset to an original offset and region quality.
+    def map_offset(self, offset: int, *, prefer_end: bool = False) -> int:
+        """Map one stripped offset to an original offset.
 
         ``prefer_end`` resolves offsets sitting on a segment boundary to the
         left segment, which is what the exclusive end of a span wants.
         """
         if not self.segments:
-            return 0, 0.0
-        if prefer_end:
-            index = bisect_right(self._starts, offset - 1) - 1 if offset > 0 else 0
-        else:
-            index = bisect_right(self._starts, offset) - 1
-        index = max(0, min(index, len(self.segments) - 1))
-        seg = self.segments[index]
-        offset = max(seg.stripped_start, min(offset, seg.stripped_end))
-        s_len = seg.stripped_end - seg.stripped_start
-        o_len = seg.original_end - seg.original_start
-        if s_len == 0:
-            mapped = seg.original_end if prefer_end else seg.original_start
-        elif s_len == o_len:
-            mapped = seg.original_start + (offset - seg.stripped_start)
-        else:
-            mapped = seg.original_start + round(
-                (offset - seg.stripped_start) * o_len / s_len
-            )
-        return mapped, seg.quality
+            return 0
+        index = bisect_right(
+            self.segments, offset - 1 if prefer_end else offset, key=itemgetter(0)
+        )
+        s_lo, s_hi, o_lo, o_hi = self.segments[max(0, index - 1)]
+        offset = max(s_lo, min(offset, s_hi))
+        # Exact for equal lengths: k * n / n is k in floating point.
+        return o_lo + round((offset - s_lo) * (o_hi - o_lo) / (s_hi - s_lo))
 
-    def map_span(self, start: int, end: int) -> tuple[int, int, float]:
-        """Map a stripped span; quality is the worst across touched segments."""
-        mapped_start, start_quality = self.map_offset(start)
-        mapped_end, end_quality = self.map_offset(end, prefer_end=True)
-        quality = min(start_quality, end_quality)
-        first = max(0, bisect_right(self._starts, start) - 1)
-        for seg in self.segments[first : bisect_left(self._starts, end)]:
-            if seg.stripped_start < end and seg.stripped_end > start:
-                quality = min(quality, seg.quality)
-        if mapped_end < mapped_start:
-            mapped_end = mapped_start
-        return mapped_start, mapped_end, quality
+    def map_span(self, start: int, end: int) -> tuple[int, int]:
+        """Map a stripped span; the end never falls before the start."""
+        mapped_start = self.map_offset(start)
+        return mapped_start, max(mapped_start, self.map_offset(end, prefer_end=True))
 
 
 @dataclass(frozen=True)
@@ -200,50 +170,46 @@ def _common_token_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]]:
 
 def _gap_segments(
     stripped: str, original: str, s_lo: int, s_hi: int, o_lo: int, o_hi: int
-) -> list[AlignedSegment]:
+) -> list[_Segment]:
     """Segments covering an unmatched region between two token matches."""
     gap_s = stripped[s_lo:s_hi]
     gap_o = original[o_lo:o_hi]
     if not gap_s:
         return []
-    if gap_s == gap_o:
-        return [AlignedSegment(s_lo, s_hi, o_lo, o_hi, 1.0)]
-    if not gap_o or max(len(gap_s), len(gap_o)) > _REFINE_LIMIT:
-        return [AlignedSegment(s_lo, s_hi, o_lo, o_hi, 0.0)]
+    if gap_s == gap_o or not gap_o or max(len(gap_s), len(gap_o)) > _REFINE_LIMIT:
+        return [(s_lo, s_hi, o_lo, o_hi)]
     # Character-level refinement inside the gap: equal blocks map exactly,
-    # the fuzz in between maps proportionally with its own similarity.
+    # the fuzz in between maps proportionally.
     matcher = difflib.SequenceMatcher(None, gap_s, gap_o, autojunk=False)
-    segments: list[AlignedSegment] = []
+    segments: list[_Segment] = []
     prev_a = prev_b = 0
-
-    def fuzzy(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> None:
-        if a_hi == a_lo:
-            return
-        piece_s = gap_s[a_lo:a_hi]
-        piece_o = gap_o[b_lo:b_hi]
-        if not piece_o:
-            quality = 0.0
-        else:
-            quality = difflib.SequenceMatcher(None, piece_s, piece_o, autojunk=False).ratio()
-        segments.append(
-            AlignedSegment(s_lo + a_lo, s_lo + a_hi, o_lo + b_lo, o_lo + b_hi, quality)
-        )
-
-    for block in matcher.get_matching_blocks():
-        fuzzy(prev_a, block.a, prev_b, block.b)
-        if block.size:
-            segments.append(
-                AlignedSegment(
-                    s_lo + block.a,
-                    s_lo + block.a + block.size,
-                    o_lo + block.b,
-                    o_lo + block.b + block.size,
-                    1.0,
-                )
-            )
-            prev_a = block.a + block.size
-            prev_b = block.b + block.size
+    for a, b, size in matcher.get_matching_blocks():
+        if a > prev_a:
+            segments.append((s_lo + prev_a, s_lo + a, o_lo + prev_b, o_lo + b))
+        if size:
+            segments.append((s_lo + a, s_lo + a + size, o_lo + b, o_lo + b + size))
+        prev_a, prev_b = a + size, b + size
     return segments
+
+
+def _merge_runs(pieces: list[_Segment]) -> tuple[_Segment, ...]:
+    """One segment per shifted run.
+
+    ``pieces`` tile the stripped text. A piece of equal lengths on both
+    sides extends the previous segment when that one has equal lengths too
+    and ends where the piece starts in the original: every offset then maps
+    the same through either. Pieces with a hole between them in the
+    original, where difflib skipped what the echo deleted, stay apart.
+    """
+    segments: list[_Segment] = []
+    for s_lo, s_hi, o_lo, o_hi in pieces:
+        if segments and s_hi - s_lo == o_hi - o_lo:
+            last_s_lo, last_s_hi, last_o_lo, last_o_hi = segments[-1]
+            if last_o_hi == o_lo and last_s_hi - last_s_lo == last_o_hi - last_o_lo:
+                segments[-1] = (last_s_lo, s_hi, last_o_lo, o_hi)
+                continue
+        segments.append((s_lo, s_hi, o_lo, o_hi))
+    return tuple(segments)
 
 
 def align_texts(stripped: str, original: str) -> AlignmentMap:
@@ -253,102 +219,62 @@ def align_texts(stripped: str, original: str) -> AlignmentMap:
     subsequence: common prefix and suffix first, then Myers' O(ND) diff of
     the tokens both sides share, within a fixed work budget past which the
     middle stays unpaired. Unpaired gaps are refined to character offsets
-    with difflib up to a fixed length; longer gaps map proportionally with
-    quality 0. Identical inputs give the identity map with quality 1.0; an
-    empty stripped text gives an empty map.
+    with difflib up to a fixed length; longer gaps map proportionally.
+    Identical inputs give the identity map; an empty stripped text gives an
+    empty map.
     """
     if stripped == original:
-        if not stripped:
-            return AlignmentMap(())
-        return AlignmentMap(
-            (AlignedSegment(0, len(stripped), 0, len(original), 1.0),)
-        )
-    tokens_s = list(_TOKEN_RE.finditer(stripped))
-    tokens_o = list(_TOKEN_RE.finditer(original))
+        return AlignmentMap(((0, len(stripped), 0, len(original)),) if stripped else ())
+    tokens_s = [m.span() for m in _TOKEN_RE.finditer(stripped)]
+    tokens_o = [m.span() for m in _TOKEN_RE.finditer(original)]
     pairs = _common_token_pairs(
-        [m.group() for m in tokens_s], [m.group() for m in tokens_o]
+        [stripped[lo:hi] for lo, hi in tokens_s], [original[lo:hi] for lo, hi in tokens_o]
     )
-    segments: list[AlignedSegment] = []
+    pieces: list[_Segment] = []
     prev_s = prev_o = 0
     for i, j in pairs:
-        tok_s = tokens_s[i]
-        tok_o = tokens_o[j]
-        segments.extend(
-            _gap_segments(stripped, original, prev_s, tok_s.start(), prev_o, tok_o.start())
-        )
-        segments.append(
-            AlignedSegment(tok_s.start(), tok_s.end(), tok_o.start(), tok_o.end(), 1.0)
-        )
-        prev_s, prev_o = tok_s.end(), tok_o.end()
-    segments.extend(
-        _gap_segments(stripped, original, prev_s, len(stripped), prev_o, len(original))
-    )
-    return AlignmentMap(tuple(segments))
+        s_lo, s_hi = tokens_s[i]
+        o_lo, o_hi = tokens_o[j]
+        pieces += _gap_segments(stripped, original, prev_s, s_lo, prev_o, o_lo)
+        pieces.append((s_lo, s_hi, o_lo, o_hi))
+        prev_s, prev_o = s_hi, o_hi
+    pieces += _gap_segments(stripped, original, prev_s, len(stripped), prev_o, len(original))
+    return AlignmentMap(_merge_runs(pieces))
 
 
-def _scan_label_tags(
-    completion: str, labels: Iterable[str]
+def _scan_tags(
+    completion: str, labels: Sequence[str], delimiters: tuple[str, str] | None
 ) -> tuple[str, list[tuple[bool, str, int]]]:
-    """Strip ``<label>``/``</label>`` tags for known labels.
+    """Strip tags in one left-to-right pass.
 
     Returns the stripped text and tag events as (is_close, label, offset in
-    stripped text). Anything that merely looks like a tag but names no
-    schema label stays in the text untouched.
+    stripped text). Without ``delimiters`` the tags are ``<label>`` and
+    ``</label>`` for the given labels, and anything that merely looks like
+    a tag stays in the text untouched. With them, every delimiter marks the
+    single label; where both delimiters start at the same place the longer
+    is read, and equal delimiters alternate between opening and closing.
     """
-    alternatives = "|".join(
-        re.escape(label) for label in sorted(labels, key=len, reverse=True)
-    )
-    pattern = re.compile(f"<(/?)({alternatives})>")
-    parts: list[str] = []
+    if delimiters is None:
+        alternatives = "|".join(
+            re.escape(label) for label in sorted(labels, key=len, reverse=True)
+        )
+        pattern = re.compile(f"<(/?)({alternatives})>")
+    else:
+        open_, close = delimiters
+        (label,) = labels
+        pattern = re.compile(
+            "|".join(re.escape(d) for d in sorted({open_, close}, key=len, reverse=True))
+        )
     events: list[tuple[bool, str, int]] = []
-    cursor = 0
-    length = 0
+    removed = 0
     for match in pattern.finditer(completion):
-        chunk = completion[cursor : match.start()]
-        parts.append(chunk)
-        length += len(chunk)
-        events.append((bool(match.group(1)), match.group(2), length))
-        cursor = match.end()
-    parts.append(completion[cursor:])
-    return "".join(parts), events
-
-
-def _scan_delimiters(
-    completion: str, open_: str, close: str, label: str
-) -> tuple[str, list[tuple[bool, str, int]]]:
-    """Strip one custom delimiter pair bound to a single target label."""
-    parts: list[str] = []
-    events: list[tuple[bool, str, int]] = []
-    cursor = 0
-    length = 0
-    inside = False
-    while True:
-        if open_ == close:
-            index = completion.find(open_, cursor)
-            if index == -1:
-                break
-            is_close, token = inside, open_
-            inside = not inside
+        if delimiters is None:
+            events.append((bool(match.group(1)), match.group(2), match.start() - removed))
         else:
-            i_open = completion.find(open_, cursor)
-            i_close = completion.find(close, cursor)
-            if i_open == -1 and i_close == -1:
-                break
-            if i_close == -1 or (i_open != -1 and i_open < i_close):
-                index, is_close, token = i_open, False, open_
-            elif i_open == i_close:
-                # One delimiter is a prefix of the other; take the longer.
-                longer = open_ if len(open_) >= len(close) else close
-                index, is_close, token = i_open, longer is close, longer
-            else:
-                index, is_close, token = i_close, True, close
-        chunk = completion[cursor:index]
-        parts.append(chunk)
-        length += len(chunk)
-        events.append((is_close, label, length))
-        cursor = index + len(token)
-    parts.append(completion[cursor:])
-    return "".join(parts), events
+            is_close = len(events) % 2 == 1 if open_ == close else match.group() == close
+            events.append((is_close, label, match.start() - removed))
+        removed += match.end() - match.start()
+    return pattern.sub("", completion), events
 
 
 def _pair_tag_events(
@@ -416,25 +342,23 @@ def parse_inline(
 ) -> tuple[AnnotatedDocument, ParseReport]:
     """Recover annotations from a tag-annotated echo of ``original``.
 
-    Tags are extracted with a stack-based scan: the default ``<label>``
-    tags for every schema label, or, when ``delimiters`` is given, one
-    custom open/close pair bound to the schema's single label. The stripped
+    Tags are read in one left-to-right scan and paired with a stack: the
+    default ``<label>`` tags for every schema label, or, when ``delimiters``
+    is given, one custom open/close pair bound to the schema's single label.
+    Where both delimiters start at the same place the longer is read, and
+    equal delimiters alternate between opening and closing. The stripped
     echo is aligned against the original and each span is kept only where
     it covers its mention verbatim; otherwise it is relocated by exact
     substring search or dropped with a warning. Never raises on model
     output, only on misuse (delimiters with a multi-label schema).
     """
+    if delimiters is not None and len(schema) != 1:
+        raise ConfigError(
+            "custom delimiters require a single-label schema, "
+            f"got {list(schema.labels)}"
+        )
     warnings: list[str] = []
-    if delimiters is not None:
-        if len(schema) != 1:
-            raise ConfigError(
-                "custom delimiters require a single-label schema, "
-                f"got {list(schema.labels)}"
-            )
-        open_, close = delimiters
-        stripped, events = _scan_delimiters(completion, open_, close, schema.labels[0])
-    else:
-        stripped, events = _scan_label_tags(completion, schema.labels)
+    stripped, events = _scan_tags(completion, schema.labels, delimiters)
     spans = _pair_tag_events(events, warnings)
     amap = align_texts(stripped, original)
     annotations: set[Annotation] = set()
@@ -443,17 +367,14 @@ def parse_inline(
         if not mention:
             warnings.append(f"empty {label!r} tag pair dropped")
             continue
-        mapped_start, mapped_end, quality = amap.map_span(start, end)
+        mapped_start, mapped_end = amap.map_span(start, end)
         if original[mapped_start:mapped_end] == mention:
             annotations.add(Annotation(mapped_start, mapped_end, label))
             continue
         best = _nearest_occurrence(original, mention, mapped_start)
         if best != -1:
             annotations.add(Annotation(best, best + len(mention), label))
-            warnings.append(
-                f"mention {mention!r} relocated by exact search "
-                f"(alignment quality {quality:.2f})"
-            )
+            warnings.append(f"mention {mention!r} relocated by exact search")
         else:
             warnings.append(
                 f"mention {mention!r} not found in the original text; dropped"

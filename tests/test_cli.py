@@ -236,6 +236,24 @@ class TestEvaluate:
         assert str(predictions) in result.stderr
         assert "past the end of the text" in result.stderr
 
+    @pytest.mark.parametrize(
+        "annotations",
+        [[{"start": 0.5, "end": 2.7, "label": "x"}], None],
+        ids=["float offsets", "null annotations"],
+    )
+    def test_malformed_prediction_record_fatal(self, runner, workdir, annotations):
+        gold = workdir / "gold.conll"
+        gold.write_text("a B-x\nb I-x\n", encoding="utf-8")
+        predictions = workdir / "preds.jsonl"
+        predictions.write_text(
+            json.dumps({"text": "a b", "annotations": annotations}) + "\n", encoding="utf-8"
+        )
+        result = runner.invoke(
+            main, ["evaluate", "--gold", str(gold), "--predictions", str(predictions)]
+        )
+        assert result.exit_code == 1
+        assert f"cannot read predictions from {predictions}" in result.stderr
+
     def test_scoring_without_predictions_needs_schema(self, runner, workdir):
         gold = DATA / "sample50_iob2.conll"
         result = runner.invoke(main, ["evaluate", "--gold", str(gold)])

@@ -248,6 +248,34 @@ class TestRecordRoundTrip:
             document_from_record({"text": "ab", "annotations": [{"start": 0}]})
 
     @pytest.mark.parametrize(
+        "entry",
+        [
+            {"start": 0.5, "end": 2.7, "label": "x"},
+            {"start": 0, "end": 2.0, "label": "x"},
+            {"start": True, "end": 2, "label": "x"},
+            {"start": 0, "end": False, "label": "x"},
+            {"start": "0", "end": 2, "label": "x"},
+            {"start": 0, "end": 2, "label": 5},
+            {"start": 0, "end": 2, "label": ""},
+            {"start": 0, "end": 2, "label": None},
+            None,
+            [0, 2, "x"],
+        ],
+        ids=["floats", "float end", "bool start", "bool end", "numeric string",
+             "non-string label", "empty label", "null label", "null entry", "list entry"],
+    )
+    def test_wrong_annotation_types_rejected_not_coerced(self, entry):
+        with pytest.raises(ValueError, match="bad annotation entry"):
+            document_from_record({"text": "ab", "annotations": [entry]})
+
+    @pytest.mark.parametrize(
+        "annotations", [None, {"start": 0}, "x"], ids=["null", "object", "string"]
+    )
+    def test_annotations_that_are_not_a_list_rejected(self, annotations):
+        with pytest.raises(ValueError, match="'annotations' must be a list"):
+            document_from_record({"text": "ab", "annotations": annotations})
+
+    @pytest.mark.parametrize(
         "start, end, reason",
         [(0, 9, "past the end"), (-1, 1, "negative start"), (1, 1, "empty span"),
          (2, 1, "inverted span")],

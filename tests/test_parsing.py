@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import difflib
 import random
+import re
 import time
+from bisect import bisect_right
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,29 +36,125 @@ def country_schema():
     return EntitySchema({"person": "People.", "country": "Countries."})
 
 
+def _per_token_segments(stripped, original):
+    """The previous alignment builder, kept as the reference.
+
+    One segment per paired token, per gap, and per difflib block or fuzzy
+    piece inside a refined gap, never merged. Its quality scores are left
+    out: they moved no offset.
+    """
+    if stripped == original:
+        return [(0, len(stripped), 0, len(original))] if stripped else []
+    tokens_s = list(re.finditer(r"\S+", stripped))
+    tokens_o = list(re.finditer(r"\S+", original))
+    pairs = parsing._common_token_pairs(
+        [m.group() for m in tokens_s], [m.group() for m in tokens_o]
+    )
+    segments = []
+
+    def gap(s_lo, s_hi, o_lo, o_hi):
+        gap_s, gap_o = stripped[s_lo:s_hi], original[o_lo:o_hi]
+        if not gap_s:
+            return
+        if gap_s == gap_o or not gap_o or max(len(gap_s), len(gap_o)) > parsing._REFINE_LIMIT:
+            segments.append((s_lo, s_hi, o_lo, o_hi))
+            return
+        matcher = difflib.SequenceMatcher(None, gap_s, gap_o, autojunk=False)
+        prev_a = prev_b = 0
+        for block in matcher.get_matching_blocks():
+            if block.a != prev_a:
+                segments.append((s_lo + prev_a, s_lo + block.a, o_lo + prev_b, o_lo + block.b))
+            if block.size:
+                segments.append(
+                    (s_lo + block.a, s_lo + block.a + block.size,
+                     o_lo + block.b, o_lo + block.b + block.size)
+                )
+                prev_a, prev_b = block.a + block.size, block.b + block.size
+
+    prev_s = prev_o = 0
+    for i, j in pairs:
+        tok_s, tok_o = tokens_s[i], tokens_o[j]
+        gap(prev_s, tok_s.start(), prev_o, tok_o.start())
+        segments.append((tok_s.start(), tok_s.end(), tok_o.start(), tok_o.end()))
+        prev_s, prev_o = tok_s.end(), tok_o.end()
+    gap(prev_s, len(stripped), prev_o, len(original))
+    return segments
+
+
+def _reference_map_offset(segments, offset, prefer_end):
+    """The previous ``AlignmentMap.map_offset``, on reference segments."""
+    if not segments:
+        return 0
+    starts = [seg[0] for seg in segments]
+    if prefer_end:
+        index = bisect_right(starts, offset - 1) - 1 if offset > 0 else 0
+    else:
+        index = bisect_right(starts, offset) - 1
+    s_lo, s_hi, o_lo, o_hi = segments[max(0, min(index, len(segments) - 1))]
+    offset = max(s_lo, min(offset, s_hi))
+    s_len, o_len = s_hi - s_lo, o_hi - o_lo
+    if s_len == 0:
+        return o_hi if prefer_end else o_lo
+    if s_len == o_len:
+        return o_lo + offset - s_lo
+    return o_lo + round((offset - s_lo) * o_len / s_len)
+
+
+@st.composite
+def drifted_echoes(draw):
+    """An original text and an echo of it with typos, dropped and inserted
+    words, and changed spacing.
+
+    Originals stay under 270 characters, so most unpaired gaps are refined by
+    difflib, and a deleted character between two of its matching blocks
+    leaves a hole in the original.
+    """
+    words = draw(
+        st.lists(st.text(alphabet="abcd", min_size=1, max_size=8), min_size=1, max_size=30)
+    )
+    echo = []
+    for word in words:
+        edit = draw(
+            st.sampled_from(["keep", "keep", "delete", "insert", "swap", "drop", "add"])
+        )
+        at = draw(st.integers(0, len(word) - 1))
+        if edit == "delete" and len(word) > 1:
+            word = word[:at] + word[at + 1 :]
+        elif edit == "insert":
+            word = word[:at] + draw(st.sampled_from("abcde")) + word[at:]
+        elif edit == "swap" and at + 1 < len(word):
+            word = word[:at] + word[at + 1] + word[at] + word[at + 2 :]
+        elif edit == "drop":
+            continue
+        elif edit == "add":
+            echo.append(draw(st.sampled_from(["e", "ab", "dd"])))
+        echo.append(word)
+    separators = draw(st.lists(st.sampled_from([" ", " ", " ", "  ", ""]), min_size=len(echo)))
+    stripped = "".join(sep + word for sep, word in zip(separators, echo))
+    return stripped, " ".join(words)
+
+
 class TestAlignTexts:
     def test_identity(self):
         amap = align_texts("abc def", "abc def")
-        assert amap.map_offset(0) == (0, 1.0)
-        assert amap.map_offset(7, prefer_end=True) == (7, 1.0)
-        assert amap.map_span(0, 7) == (0, 7, 1.0)
+        assert amap.segments == ((0, 7, 0, 7),)
+        assert amap.map_offset(0) == 0
+        assert amap.map_offset(7, prefer_end=True) == 7
+        assert amap.map_span(0, 7) == (0, 7)
 
-    def test_single_token_replacement_flagged(self):
+    def test_single_token_replacement_maps_in_place(self):
         amap = align_texts("abc deX", "abc def")
-        for offset in range(5):
-            mapped, quality = amap.map_offset(offset)
-            assert mapped == offset
-            assert quality == 1.0
-        _, _, span_quality = amap.map_span(4, 7)
-        assert span_quality < 1.0
+        for offset in range(8):
+            assert amap.map_offset(offset) == offset
+        assert amap.map_span(4, 7) == (4, 7)
+        assert amap.segments == ((0, 7, 0, 7),)
 
     def test_empty_stripped_gives_empty_map(self):
         assert align_texts("", "abc").segments == ()
 
-    def test_disjoint_texts_have_zero_quality(self):
-        amap = align_texts("xyz", "abc")
-        _, quality = amap.map_offset(1)
-        assert quality == 0.0
+    def test_disjoint_texts_map_proportionally(self):
+        amap = align_texts("xyz", "abcdef")
+        assert [amap.map_offset(offset) for offset in range(4)] == [0, 2, 4, 6]
 
     @given(st.text(max_size=60), st.text(max_size=60), st.data())
     @settings(max_examples=150, deadline=None)
@@ -65,14 +164,33 @@ class TestAlignTexts:
             return
         a = data.draw(st.integers(0, len(stripped) - 2))
         b = data.draw(st.integers(a + 1, len(stripped) - 1))
-        assert amap.map_offset(a)[0] <= amap.map_offset(b)[0]
+        assert amap.map_offset(a) <= amap.map_offset(b)
 
     @given(st.text(max_size=60))
     @settings(max_examples=80, deadline=None)
     def test_identity_inputs_map_every_offset_identically(self, text):
         amap = align_texts(text, text)
         for offset in range(len(text) + 1):
-            assert amap.map_offset(offset)[0] == offset
+            assert amap.map_offset(offset) == offset
+
+    @given(drifted_echoes())
+    @settings(max_examples=400, deadline=None)
+    @example(
+        (
+            "Analysts at Polar Logistics praiesd Sofia Marques yesterday .",
+            "Analysts at Polar Logistics praised Sofia Marques yesterday .",
+        )
+    )
+    def test_maps_every_offset_like_per_token_segments(self, texts):
+        stripped, original = texts
+        amap = align_texts(stripped, original)
+        reference = _per_token_segments(stripped, original)
+        for prefer_end in (False, True):
+            for offset in range(len(stripped) + 1):
+                assert amap.map_offset(offset, prefer_end=prefer_end) == (
+                    _reference_map_offset(reference, offset, prefer_end)
+                ), (offset, prefer_end)
+        assert len(amap.segments) <= len(reference)
 
 
 def _lcs_length(a, b):
@@ -140,7 +258,7 @@ class TestCommonTokenPairs:
         doc, report = parse_inline(completion, original, schema)
         assert doc.annotations == {Annotation(start, start + 4, "location")}
         (warning,) = report.warnings
-        assert "relocated by exact search (alignment quality 0.00)" in warning
+        assert warning == "mention 'Lima' relocated by exact search"
 
 
 class TestParseInline:
@@ -214,6 +332,20 @@ class TestParseInline:
         )
         doc, _ = parse_inline(completion, golden_text, country_schema)
         assert annotation_text(doc, sorted(doc.annotations)[1]) == "China"
+
+    def test_deletion_inside_a_refined_gap_moves_no_neighbour(self):
+        # difflib aligns "praiesd" with "praised" but skips one "s" of the
+        # original between two matching blocks; a segment merged across
+        # that hole would shift "Polar Logistics" off its mention.
+        schema = EntitySchema({"ORG": "Organizations.", "PER": "People."})
+        original = "Analysts at Polar Logistics praised Sofia Marques yesterday ."
+        completion = (
+            "Analysts at <ORG>Polar Logistics</ORG> praiesd "
+            "<PER>Sofia Marques</PER> yesterday ."
+        )
+        doc, report = parse_inline(completion, original, schema)
+        assert doc.annotations == {Annotation(12, 27, "ORG"), Annotation(36, 49, "PER")}
+        assert report.warnings == ()
 
     def test_rewritten_mention_relocated_by_exact_search(self):
         schema = EntitySchema({"location": "Places."})
@@ -340,6 +472,86 @@ class TestPairTagEvents:
         spans = parsing._pair_tag_events(events, warnings)
         assert (spans, warnings) == _stack_scan_pairing(events)
 
+def _scan_delimiters(completion, open_, close, label):
+    """The previous delimiter scanner, which searches for both delimiters
+    from the cursor at every tag."""
+    parts = []
+    events = []
+    cursor = 0
+    length = 0
+    inside = False
+    while True:
+        if open_ == close:
+            index = completion.find(open_, cursor)
+            if index == -1:
+                break
+            is_close, token = inside, open_
+            inside = not inside
+        else:
+            i_open = completion.find(open_, cursor)
+            i_close = completion.find(close, cursor)
+            if i_open == -1 and i_close == -1:
+                break
+            if i_close == -1 or (i_open != -1 and i_open < i_close):
+                index, is_close, token = i_open, False, open_
+            elif i_open == i_close:
+                longer = open_ if len(open_) >= len(close) else close
+                index, is_close, token = i_open, longer is close, longer
+            else:
+                index, is_close, token = i_close, True, close
+        chunk = completion[cursor:index]
+        parts.append(chunk)
+        length += len(chunk)
+        events.append((is_close, label, length))
+        cursor = index + len(token)
+    parts.append(completion[cursor:])
+    return "".join(parts), events
+
+
+def _scan_label_tags(completion, labels):
+    """The previous label-tag scanner."""
+    alternatives = "|".join(
+        re.escape(label) for label in sorted(labels, key=len, reverse=True)
+    )
+    parts, events = [], []
+    cursor = length = 0
+    for match in re.finditer(f"<(/?)({alternatives})>", completion):
+        chunk = completion[cursor : match.start()]
+        parts.append(chunk)
+        length += len(chunk)
+        events.append((bool(match.group(1)), match.group(2), length))
+        cursor = match.end()
+    parts.append(completion[cursor:])
+    return "".join(parts), events
+
+
+DELIMITER_PAIRS = [("$$", "$$"), ("[", "[/"), ("[/", "["), ("@@", "##"), ("ab", "ba")]
+
+
+def _completions(fragments):
+    return st.lists(st.sampled_from(fragments), max_size=30).map("".join)
+
+
+class TestScanTags:
+    @pytest.mark.parametrize("delimiters", DELIMITER_PAIRS, ids=repr)
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_delimiters_read_like_the_search_from_the_cursor(self, delimiters, data):
+        open_, close = delimiters
+        completion = data.draw(_completions([open_, close, *open_, *close, "x", " "]))
+        assert parsing._scan_tags(completion, ("x",), delimiters) == _scan_delimiters(
+            completion, open_, close, "x"
+        )
+
+    @given(_completions(["<a>", "</a>", "<ab>", "</ab>", "<b>", "<", "/", ">", "a", "b"]))
+    @settings(max_examples=300, deadline=None)
+    def test_label_tags_read_like_the_previous_scan(self, completion):
+        labels = ("a", "ab")
+        assert parsing._scan_tags(completion, labels, None) == _scan_label_tags(
+            completion, labels
+        )
+
+
 ADVERSARIAL_ECHOES = {
     "no shared tokens": lambda: (
         " ".join(f"<x>s{i}</x>" if i % 50 == 0 else f"s{i}" for i in range(5_000)),
@@ -398,6 +610,17 @@ class TestAdversarialSizes:
                 parse_json_answer(completion, "x", self.SCHEMA)
 
         self._timed("20,000 opening braces", parse)
+
+    def test_unclosed_custom_delimiters_within_bounds(self):
+        # A search for the close from every open runs to the end each time.
+        n = 200_000
+        completion = "[x " * n
+        doc, report = self._timed(
+            "unclosed custom delimiters",
+            lambda: parse_inline(completion, "x " * n, self.SCHEMA, ("[", "<<END>>")),
+        )
+        assert doc.annotations == frozenset()
+        assert report.warnings == ("unmatched opening tag for 'x' dropped",) * n
 
     def test_stray_closing_tags_within_bounds(self):
         n = 8_000

@@ -8,17 +8,21 @@ timeouts, and connection failures surface immediately.
 
 from __future__ import annotations
 
+import functools
+import http.client
 import json
+import math
 import os
 import random
+import ssl
 import threading
 import time
+import urllib.error
+import urllib.request
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol, runtime_checkable
-
-import requests
 
 from .errors import (
     AuthenticationError,
@@ -54,8 +58,14 @@ class BackendConfig:
     initial_backoff_ms: float = 500.0
 
     def __post_init__(self) -> None:
-        if not self.base_url:
-            raise ConfigError("base_url must be non-empty")
+        if not str(self.base_url).lower().startswith(("http://", "https://")):
+            raise ConfigError("base_url must be an http:// or https:// URL")
+        for name in ("temperature", "timeout", "initial_backoff_ms"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        for name in ("max_tokens", "max_retries"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an int")
         if self.temperature < 0:
             raise ConfigError("temperature must be >= 0")
         if self.max_tokens < 1:
@@ -125,8 +135,26 @@ def build_request_body(
     }
 
 
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    # Following a redirect would resend the API key to wherever it points.
+    def redirect_request(self, *args: Any) -> None:
+        return None
+
+
+@functools.cache
+def _opener() -> urllib.request.OpenerDirector:
+    """Built at the first request, which reads the proxy variables and the CA store."""
+    context = ssl.create_default_context()
+    return urllib.request.build_opener(
+        _NoRedirect, urllib.request.HTTPSHandler(context=context)
+    )
+
+
 class HttpBackend:
-    """Single-attempt client for any OpenAI-compatible chat-completions API."""
+    """Single-attempt client for any OpenAI-compatible chat-completions API.
+
+    Each request opens and closes its own connection.
+    """
 
     def complete(self, conversation: Sequence[_Message], config: BackendConfig) -> str:
         url = config.base_url.rstrip("/") + "/chat/completions"
@@ -134,20 +162,21 @@ class HttpBackend:
         api_key = config.resolve_api_key()
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
+        body = json.dumps(build_request_body(conversation, config)).encode("utf-8")
+        request = urllib.request.Request(url, data=body, headers=headers)
         try:
-            response = requests.post(
-                url,
-                json=build_request_body(conversation, config),
-                headers=headers,
-                timeout=config.timeout,
-            )
-        except requests.Timeout as exc:
-            raise BackendTimeoutError(f"no answer within {config.timeout}s") from exc
-        except requests.ConnectionError as exc:
+            try:
+                response = _opener().open(request, timeout=config.timeout)
+            except urllib.error.HTTPError as exc:
+                response = exc
+            with response:
+                status, payload = response.status, response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            if isinstance(getattr(exc, "reason", exc), TimeoutError):
+                raise BackendTimeoutError(f"no answer within {config.timeout}s") from exc
             raise BackendConnectionError(f"cannot reach {url}: {exc}") from exc
-        except requests.RequestException as exc:
+        except ValueError as exc:  # a header value http.client refuses to send
             raise BackendError(f"request to {url} failed: {exc}") from exc
-        status = response.status_code
         if status in (401, 403):
             raise AuthenticationError(f"backend rejected credentials (HTTP {status})")
         if status == 429:
@@ -156,10 +185,10 @@ class HttpBackend:
             raise ServerError(f"backend server error (HTTP {status})")
         if status != 200:
             raise BackendError(
-                f"unexpected status {status}: {response.text[:200]}"
+                f"unexpected status {status}: {payload.decode('utf-8', 'replace')[:200]}"
             )
         try:
-            data = response.json()
+            data = json.loads(payload)
         except ValueError as exc:
             raise MalformedResponseError(f"response body is not JSON: {exc}") from exc
         try:

@@ -350,8 +350,11 @@ def parse_inline(
     echo is aligned against the original and each span is kept only where
     it covers its mention verbatim; otherwise it is relocated by exact
     substring search or dropped with a warning. Never raises on model
-    output, only on misuse (delimiters with a multi-label schema).
+    output, only on misuse (an empty delimiter, or delimiters with a
+    multi-label schema).
     """
+    if delimiters is not None and not all(delimiters):
+        raise ConfigError("delimiters must be a pair of non-empty strings")
     if delimiters is not None and len(schema) != 1:
         raise ConfigError(
             "custom delimiters require a single-label schema, "

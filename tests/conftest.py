@@ -91,17 +91,27 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
                 }
             )
             entry = server.script[min(index, len(server.script) - 1)]
+        if entry[0] == "close":
+            return
         if entry[0] == "sleep":
             time.sleep(entry[1])
             entry = (200, {"choices": [{"message": {"content": ""}}]})
+        missing = 0
+        if entry[0] == "truncated":
+            entry, missing = (200, entry[1]), 100
         status, payload = entry
         raw = payload if isinstance(payload, str) else json.dumps(payload)
         data = raw.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data) + missing))
+            if 300 <= status < 400:
+                self.send_header("Location", "/v1/moved")
+            self.end_headers()
+            self.wfile.write(data)
+        except ConnectionError:  # the client timed out and hung up first
+            pass
 
     def log_message(self, *args):  # keep test output clean
         pass
@@ -111,8 +121,12 @@ class ScriptedServer:
     """A local chat-completions endpoint driven by a per-test script.
 
     ``script`` is a list of (status, payload) entries consumed in request
-    order (the last entry repeats); ``("sleep", seconds)`` delays before a
-    plain 200. Received requests accumulate in ``requests``.
+    order (the last entry repeats); a 3xx status redirects to ``/v1/moved``.
+    ``("sleep", seconds)`` delays before a plain 200, ``("close", None)``
+    hangs up without replying, and ``("truncated", payload)`` sends a 200
+    whose Content-Length promises 100 bytes more than ``payload``, then
+    hangs up. The handler speaks HTTP/1.0, so every connection closes after
+    one reply. Received requests accumulate in ``requests``.
     """
 
     def __init__(self):

@@ -141,6 +141,13 @@ class TestAnnotate:
         assert result.exit_code == 1
         assert "error:" in result.stderr
 
+    def test_nan_temperature_fatal(self, runner, workdir):
+        result = runner.invoke(
+            main, ["annotate", *args(workdir, "--temperature", "nan")], input="x\n"
+        )
+        assert result.exit_code == 1
+        assert "temperature must be finite" in result.stderr
+
     def test_sequence_mock_file(self, runner, workdir):
         (workdir / "mock.json").write_text(
             json.dumps({"replies": [GOLDEN_COMPLETION]}), encoding="utf-8"

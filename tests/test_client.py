@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chatner import ChatMessage
+from chatner import Annotation, ChatMessage, ZeroShotNer
 from chatner.client import (
     BackendConfig,
     HttpBackend,
@@ -34,10 +38,55 @@ from chatner.errors import (
 )
 
 CONVO = (ChatMessage("system", "sys"), ChatMessage("user", "hi"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Sends one request to a host that must not be resolved: every name lookup
+# other than the loopback address fails, so the check stays offline. The
+# client reads the proxy variables once per process, so it runs in a fresh
+# interpreter.
+PROXY_PROBE = """
+import socket
+
+def local_only(real):
+    def resolve(host, *args, **kwargs):
+        if host not in ("127.0.0.1", "localhost"):
+            raise socket.gaierror(socket.EAI_NONAME, f"{host}: not resolved offline")
+        return real(host, *args, **kwargs)
+    return resolve
+
+for name in ("getaddrinfo", "gethostbyname", "gethostbyname_ex"):
+    setattr(socket, name, local_only(getattr(socket, name)))
+
+from chatner import ChatMessage
+from chatner.client import BackendConfig, HttpBackend
+from chatner.errors import BackendError
+
+convo = (ChatMessage("system", "sys"), ChatMessage("user", "hi"))
+config = BackendConfig(base_url="http://example.invalid/v1", api_key="k", timeout=10)
+try:
+    print(HttpBackend().complete(convo, config))
+except BackendError as exc:
+    print(type(exc).__name__)
+"""
 
 
 def no_sleep(_seconds: float) -> None:
     pass
+
+
+def run_python(code: str, **env: str) -> str:
+    """Run ``code`` in a fresh interpreter with no proxy settings but ``env``."""
+    clean = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    clean["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), clean.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**clean, **env},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return done.stdout.strip()
 
 
 class TestBackendConfig:
@@ -54,6 +103,20 @@ class TestBackendConfig:
             {"timeout": 0},
             {"max_tokens": 0},
             {"initial_backoff_ms": -1},
+            {"temperature": float("nan")},
+            {"temperature": float("inf")},
+            {"timeout": float("nan")},
+            {"timeout": float("inf")},
+            {"initial_backoff_ms": float("nan")},
+            {"initial_backoff_ms": float("inf")},
+            {"max_tokens": 10.0},
+            {"max_tokens": True},
+            {"max_retries": 1.5},
+            {"max_retries": True},
+            {"base_url": "api.example.com/v1"},
+            {"base_url": "file:///tmp"},
+            {"base_url": ""},
+            {"base_url": None},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -175,6 +238,73 @@ class TestHttpBackend:
         config = BackendConfig(base_url="http://127.0.0.1:9/v1", timeout=2)
         with pytest.raises(BackendConnectionError):
             HttpBackend().complete(CONVO, config)
+
+
+BROKEN_REPLIES = [
+    ("close", None),
+    ("truncated", {"choices": [{"message": {"content": "cut"}}]}),
+]
+
+
+class TestTransportContract:
+    """Failures below the HTTP status line stay typed, per document."""
+
+    @pytest.mark.parametrize("entry", BROKEN_REPLIES)
+    def test_broken_reply_is_a_backend_error(self, http_server, entry):
+        http_server.script = [entry]
+        config = BackendConfig(base_url=http_server.base_url, api_key="k", timeout=10)
+        with pytest.raises(BackendError):
+            HttpBackend().complete(CONVO, config)
+
+    @pytest.mark.parametrize("entry", BROKEN_REPLIES)
+    def test_broken_reply_fails_only_its_document(self, http_server, entry):
+        http_server.script = [entry, http_server.reply("<person>Ada</person> wrote it")]
+        model = ZeroShotNer(
+            base_url=http_server.base_url, api_key="k", timeout=10, max_retries=0
+        ).contextualize({"person": "A name."})
+        first, second = model.predict(["Bo wrote it", "Ada wrote it"], max_concurrency=1)
+        assert isinstance(first.error, BackendError)
+        assert first.document.annotations == frozenset()
+        assert second.ok
+        assert second.document.annotations == {Annotation(0, 3, "person")}
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_not_followed(self, http_server, status):
+        http_server.script = [(status, {"error": "moved"}), http_server.reply("ok")]
+        config = BackendConfig(base_url=http_server.base_url, api_key="k")
+        with pytest.raises(BackendError, match=f"unexpected status {status}") as info:
+            HttpBackend().complete(CONVO, config)
+        assert type(info.value) is BackendError
+        assert len(http_server.requests) == 1
+
+    def test_unsendable_header_is_a_backend_error(self, http_server):
+        config = BackendConfig(base_url=http_server.base_url, api_key="k\nX-Evil: 1")
+        with pytest.raises(BackendError):
+            HttpBackend().complete(CONVO, config)
+        assert http_server.requests == []
+
+    def test_proxy_receives_absolute_url(self, http_server):
+        host, port = http_server.base_url.split("/")[2].split(":")
+        out = run_python(PROXY_PROBE, HTTP_PROXY=f"http://{host}:{port}")
+        assert out == "ok"
+        assert [r["path"] for r in http_server.requests] == [
+            "http://example.invalid/v1/chat/completions"
+        ]
+
+    def test_no_proxy_bypasses_the_proxy(self, http_server):
+        host, port = http_server.base_url.split("/")[2].split(":")
+        out = run_python(
+            PROXY_PROBE, HTTP_PROXY=f"http://{host}:{port}", NO_PROXY="example.invalid"
+        )
+        assert out == "BackendConnectionError"
+        assert http_server.requests == []
+
+    def test_cli_import_loads_no_http_library(self):
+        out = run_python(
+            "import sys, chatner.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'requests', 'urllib3'}))"
+        )
+        assert out == "[]"
 
 
 class TestMockBackend:

@@ -287,6 +287,12 @@ class TestParseInline:
         with pytest.raises(ConfigError):
             parse_inline("@@x##", "x", pl_schema, ("@@", "##"))
 
+    @pytest.mark.parametrize("delimiters", [("", "]"), ("]", "")])
+    def test_empty_delimiter_rejected(self, delimiters):
+        schema = EntitySchema({"x": "Anything."})
+        with pytest.raises(ConfigError, match="pair of non-empty strings"):
+            parse_inline("a]b", "ab", schema, delimiters)
+
     def test_identical_open_close_delimiters(self):
         schema = EntitySchema({"location": "Places."})
         doc, _ = parse_inline("$$Peru$$ is great", "Peru is great", schema, ("$$", "$$"))

@@ -22,7 +22,7 @@ import urllib.request
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Protocol
 
 from .errors import (
     AuthenticationError,
@@ -86,7 +86,6 @@ class _Message(Protocol):
     content: str
 
 
-@runtime_checkable
 class CompletionBackend(Protocol):
     """Anything that can answer one conversation with one reply string.
 
@@ -301,7 +300,9 @@ def backoff_delay_ms(
     non-decreasing across consecutive retries.
     """
     uniform = rng.uniform if rng is not None else random.uniform
-    base = initial_ms * (2**attempt)
+    # 2.0**1024 overflows; by attempt 1023 any initial_ms above 1e-300 is
+    # at the cap.
+    base = initial_ms * 2.0 ** min(attempt, 1023)
     return min(base * (1 + uniform(-JITTER, JITTER)), MAX_BACKOFF_MS)
 
 

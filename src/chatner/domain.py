@@ -27,9 +27,8 @@ class Annotation:
     """One entity mention as a half-open character span with a label.
 
     Instances are plain values and deliberately cheap to build; whether a
-    span actually makes sense for a given text is checked separately by
-    :func:`validate_document`, which can therefore report problems instead
-    of refusing to represent them.
+    span fits a given text is checked separately, by :func:`check_spans`,
+    where a document is rendered into a prompt or read from a record.
     """
 
     start: int
@@ -58,67 +57,34 @@ class AnnotatedDocument:
         return sorted(self.annotations)
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    """One reason a document failed validation."""
+def check_spans(doc: AnnotatedDocument) -> None:
+    """Raise ValueError for the first annotation that does not fit ``doc.text``.
 
-    index: int
-    annotation: Annotation
-    reason: str
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    issues: tuple[ValidationIssue, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_document(doc: AnnotatedDocument) -> ValidationResult:
-    """Check every annotation of ``doc`` against its text.
-
-    Returns a result listing each violating annotation with its position in
-    sorted order and a short reason; an empty issue list means the document
-    is valid. Never raises.
+    Annotations are checked in sorted order. When one breaks several rules,
+    the first of these is the reason given: offsets that are not integers,
+    a negative start, an empty or inverted span, a span past the end of the
+    text, an empty label.
     """
-    issues = []
     length = len(doc.text)
-    for index, ann in enumerate(doc.sorted_annotations()):
-        reasons = []
+    for ann in doc.sorted_annotations():
         if not isinstance(ann.start, int) or not isinstance(ann.end, int):
-            reasons.append("offsets must be integers")
+            reason = "offsets must be integers"
+        elif ann.start < 0:
+            reason = "negative start"
+        elif ann.start == ann.end:
+            reason = "empty span"
+        elif ann.end < ann.start:
+            reason = "inverted span"
+        elif ann.end > length:
+            reason = "span extends past the end of the text"
+        elif not ann.label:
+            reason = "empty label"
         else:
-            if ann.start < 0:
-                reasons.append("negative start")
-            if ann.start == ann.end:
-                reasons.append("empty span")
-            elif ann.end < ann.start:
-                reasons.append("inverted span")
-            if ann.end > length:
-                reasons.append("span extends past the end of the text")
-        if not ann.label:
-            reasons.append("empty label")
-        for reason in reasons:
-            issues.append(ValidationIssue(index, ann, reason))
-    return ValidationResult(tuple(issues))
-
-
-def annotation_text(doc: AnnotatedDocument, ann: Annotation) -> str:
-    """The exact text covered by ``ann`` in ``doc``.
-
-    Raises ValueError for spans that do not fit the document.
-    """
-    if ann.start < 0 or ann.end > len(doc.text) or ann.start >= ann.end:
+            continue
         raise ValueError(
-            f"span ({ann.start}, {ann.end}) is out of bounds for a text "
-            f"of length {len(doc.text)}"
+            f"annotation ({ann.start}, {ann.end}, {ann.label!r}) does not fit "
+            f"the text: {reason}"
         )
-    return doc.text[ann.start : ann.end]
 
 
 def first_overlap(
@@ -260,7 +226,7 @@ def document_from_record(record: Mapping) -> AnnotatedDocument:
 
     Raises ValueError on a bad shape (offsets must be ints, not bools or
     floats; labels non-empty strings) and on a span that does not fit the
-    text (see :func:`validate_document`).
+    text (see :func:`check_spans`).
     """
     if not isinstance(record, Mapping):
         raise ValueError(f"document record must be an object, got {type(record).__name__}")
@@ -289,11 +255,5 @@ def document_from_record(record: Mapping) -> AnnotatedDocument:
             )
         annotations.append(Annotation(entry["start"], entry["end"], entry["label"]))
     doc = AnnotatedDocument(text, frozenset(annotations))
-    issues = validate_document(doc).issues
-    if issues:
-        ann = issues[0].annotation
-        raise ValueError(
-            f"annotation ({ann.start}, {ann.end}, {ann.label!r}) does not fit "
-            f"the text: {issues[0].reason}"
-        )
+    check_spans(doc)
     return doc

@@ -32,13 +32,7 @@ from .errors import (
     ParseError,
 )
 from .parsing import ParseReport, parse_inline, parse_json_answer
-from .prompting import (
-    ChatMessage,
-    augment_with_pos,
-    compose_system_prompt,
-    plan_turns,
-    render_examples,
-)
+from .prompting import ChatMessage, compose_system_prompt, plan_turns, render_examples
 from .templates import PromptTemplateSet
 
 
@@ -105,8 +99,9 @@ def ensure_texts(texts) -> list[str]:
 
 
 def _check_workers(workers: int) -> int:
-    if workers < 1:
-        raise ConfigError("max_concurrency must be >= 1")
+    # Exactly an int: NaN passes ``< 1`` and then starts no thread at all.
+    if type(workers) is not int or workers < 1:
+        raise ConfigError(f"max_concurrency must be an int >= 1, got {workers!r}")
     return workers
 
 
@@ -225,7 +220,7 @@ class NerModel:
             pos_mode=self.pos_mode,
         )
         _check_workers(self.max_concurrency)
-        if config.pos_mode == "via_hook" and self.pos_tagger is None:
+        if config.pos_mode == "via_hook" and not callable(self.pos_tagger):
             raise ConfigError("pos_mode 'via_hook' needs the pos_tagger parameter")
         templates = _resolve_templates(self.templates)
         examples = tuple(examples or ())
@@ -236,7 +231,6 @@ class NerModel:
             prefix.extend((user, assistant))
         self.config_ = config
         self.templates_ = templates
-        self.examples_ = examples
         self.backend_ = self.backend if self.backend is not None else HttpBackend()
         self.backend_config_ = BackendConfig(
             base_url=self.base_url,
@@ -276,17 +270,38 @@ class NerModel:
             reply = self._complete(conversation)
             return parse_json_answer(reply, text, schema)[1], reply
 
-    def _augmented(self, text: str) -> str:
-        if self.config_.pos_mode == "none":
+    def _query(self, text: str, llm_tags: str | None = None) -> str:
+        """``text`` with the part-of-speech block ``pos_mode`` asks for.
+
+        ``via_hook`` formats the (token, tag) pairs of ``pos_tagger`` as
+        ``token/TAG``; ``via_llm`` asks the backend to tag the text and uses
+        its reply verbatim, unless ``llm_tags`` stands in for that reply.
+        """
+        pos_mode = self.config_.pos_mode
+        if pos_mode == "none":
             return text
-        return augment_with_pos(
-            text,
-            self.config_,
-            tagger=self.pos_tagger,
-            backend=self.backend_,
-            backend_config=self.backend_config_,
-            templates=self.templates_,
-        )
+        if pos_mode == "via_hook":
+            # Read at call time, so a set_params after contextualize applies.
+            if not callable(self.pos_tagger):
+                raise ConfigError("pos_mode 'via_hook' needs a tagger callable")
+            formatted = []
+            for pair in self.pos_tagger(text):
+                try:
+                    token, tag = pair
+                except (TypeError, ValueError):
+                    raise ConfigError(
+                        f"POS tagger must yield (token, tag) pairs, got {pair!r}"
+                    ) from None
+                formatted.append(f"{token}/{tag}")
+            tags = " ".join(formatted)
+        elif llm_tags is not None:
+            tags = llm_tags
+        else:
+            tags = self._complete((
+                ChatMessage("system", self.templates_.render("pos_system")),
+                ChatMessage("user", self.templates_.render("pos_request", text=text)),
+            )).strip()
+        return self.templates_.render("pos_block", text=text, tags=tags)
 
     def predict_one(self, text: str) -> tuple[AnnotatedDocument, ParseReport]:
         """Annotate one text. Backend and double-parse failures raise.
@@ -303,7 +318,7 @@ class NerModel:
         conversation = list(self.prefix_)
         annotations: set = set()
         warnings: list[str] = []
-        turns = plan_turns(self._augmented(text), self.schema_, self.config_, self.templates_)
+        turns = plan_turns(self._query(text), self.schema_, self.config_, self.templates_)
         for position, (message, label) in enumerate(turns):
             if position:
                 if not reply:
@@ -364,12 +379,9 @@ class NerModel:
         """
         check_is_contextualized(self)
         config = self.config_
-        if config.pos_mode == "via_llm":
-            block = self.templates_.render("pos_block", text=text, tags="{pos_tags}")
-        else:
-            block = self._augmented(text)
+        query = self._query(text, llm_tags="{pos_tags}")
         messages = list(self.prefix_)
-        for message, _ in plan_turns(block, self.schema_, config, self.templates_):
+        for message, _ in plan_turns(query, self.schema_, config, self.templates_):
             messages.append(message)
             if config.prompting_method == "multi_turn":
                 messages.append(ChatMessage("assistant", "{response}"))

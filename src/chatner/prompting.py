@@ -3,18 +3,11 @@
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .domain import (
-    AnnotatedDocument,
-    Annotation,
-    EntitySchema,
-    NerConfig,
-    first_overlap,
-    validate_document,
-)
+from .domain import AnnotatedDocument, EntitySchema, NerConfig, check_spans, first_overlap
 from .errors import ConfigError, RenderError
 from .templates import PromptTemplateSet
 
@@ -33,13 +26,6 @@ class ChatMessage:
             raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
         if not isinstance(self.content, str) or not self.content:
             raise ValueError("message content must be a non-empty string")
-
-
-# A conversation is just an ordered sequence of messages; the client checks
-# the role-ordering contract at submission time.
-Conversation = Sequence[ChatMessage]
-
-PosTagger = Callable[[str], Iterable[tuple[str, str]]]
 
 
 def _natural_join(items: Sequence[str]) -> str:
@@ -118,10 +104,10 @@ def render_inline(
     label (one pair cannot encode several entity types). Overlapping
     annotations cannot be rendered in-line and raise RenderError.
     """
-    result = validate_document(doc)
-    if not result.ok:
-        issue = result.issues[0]
-        raise RenderError(f"invalid document: {issue.reason} for {issue.annotation}")
+    try:
+        check_spans(doc)
+    except ValueError as exc:
+        raise RenderError(f"invalid document: {exc}") from exc
     overlap = first_overlap(doc.annotations)
     if overlap is not None:
         raise RenderError(
@@ -159,10 +145,10 @@ def render_json(doc: AnnotatedDocument, schema: EntitySchema) -> str:
     empty list when it has no mentions. Mentions appear in span order and
     duplicates are kept so counts stay faithful.
     """
-    result = validate_document(doc)
-    if not result.ok:
-        issue = result.issues[0]
-        raise RenderError(f"invalid document: {issue.reason} for {issue.annotation}")
+    try:
+        check_spans(doc)
+    except ValueError as exc:
+        raise RenderError(f"invalid document: {exc}") from exc
     mentions: dict[str, list[str]] = {label: [] for label in schema.labels}
     for ann in doc.sorted_annotations():
         if ann.label not in mentions:
@@ -266,47 +252,3 @@ def plan_turns(
         turns.append(Turn(ChatMessage("user", templates.render("turn_final")), None))
     return tuple(turns)
 
-
-def augment_with_pos(
-    text: str,
-    config: NerConfig,
-    *,
-    tagger: PosTagger | None = None,
-    backend=None,
-    backend_config=None,
-    templates: PromptTemplateSet | None = None,
-) -> str:
-    """Append a part-of-speech block beneath ``text`` according to ``config``.
-
-    ``via_hook`` calls ``tagger(text)`` and formats its (token, tag) pairs
-    as ``token/TAG``; ``via_llm`` asks the completion backend to tag the
-    text and uses its reply verbatim. The tag inventory is whatever the
-    hook or model emits. With pos_mode "none" the text comes back unchanged.
-    """
-    if config.pos_mode == "none":
-        return text
-    templates = templates or PromptTemplateSet()
-    if config.pos_mode == "via_hook":
-        if tagger is None:
-            raise ConfigError("pos_mode 'via_hook' needs a tagger callable")
-        formatted = []
-        for pair in tagger(text):
-            try:
-                token, tag = pair
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"POS tagger must yield (token, tag) pairs, got {pair!r}"
-                ) from None
-            formatted.append(f"{token}/{tag}")
-        tags = " ".join(formatted)
-    else:  # via_llm
-        if backend is None or backend_config is None:
-            raise ConfigError("pos_mode 'via_llm' needs a backend and its config")
-        from .client import chat_complete
-
-        conversation = (
-            ChatMessage("system", templates.render("pos_system")),
-            ChatMessage("user", templates.render("pos_request", text=text)),
-        )
-        tags = chat_complete(conversation, backend_config, backend=backend).strip()
-    return templates.render("pos_block", text=text, tags=tags)

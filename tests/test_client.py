@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from chatner import Annotation, ChatMessage, ZeroShotNer
 from chatner.client import (
+    MAX_BACKOFF_MS,
     BackendConfig,
     HttpBackend,
     MockBackend,
@@ -407,6 +408,17 @@ class TestBackoff:
         rng = random.Random(seed)
         delays = [backoff_delay_ms(attempt, 500.0, rng) for attempt in range(12)]
         assert delays == sorted(delays)
+
+    @pytest.mark.parametrize(
+        "initial_ms, expected",
+        [(0.0, 0.0), (0, 0.0), (500.0, MAX_BACKOFF_MS), (500, MAX_BACKOFF_MS)],
+    )
+    def test_long_retry_runs_do_not_overflow(self, initial_ms, expected):
+        delays = [
+            backoff_delay_ms(attempt, initial_ms, random.Random(attempt))
+            for attempt in (1_022, 1_023, 1_024, 5_000)
+        ]
+        assert delays == [expected] * 4
 
 
 class TestChatComplete:

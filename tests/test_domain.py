@@ -17,7 +17,7 @@ from chatner import (
     document_from_record,
     document_to_record,
 )
-from chatner.domain import NerConfig, annotation_text, first_overlap, validate_document
+from chatner.domain import NerConfig, check_spans, first_overlap
 
 
 class TestAnnotation:
@@ -65,59 +65,85 @@ class TestAnnotatedDocument:
     def test_overlapping_annotations_are_permitted(self):
         doc = AnnotatedDocument("Peru", [Annotation(0, 4, "loc"), Annotation(0, 4, "org")])
         assert len(doc.annotations) == 2
-        assert validate_document(doc).ok
+        check_spans(doc)
+
+
+def fits(text, *annotations):
+    check_spans(AnnotatedDocument(text, annotations))
 
 
 class TestValidateDocument:
+    """:func:`check_spans`: each bad span raises ValueError with one reason."""
+
     def test_golden_document_is_ok(self, golden_doc):
-        assert validate_document(golden_doc).ok
+        check_spans(golden_doc)
 
     def test_full_span_ok(self):
-        assert validate_document(AnnotatedDocument("abc", [Annotation(0, 3, "x")])).ok
+        fits("abc", Annotation(0, 3, "x"))
 
     def test_empty_span_reported(self):
-        result = validate_document(AnnotatedDocument("abc", [Annotation(2, 2, "x")]))
-        assert not result.ok
-        assert "empty span" in result.issues[0].reason
+        message = r"^annotation \(2, 2, 'x'\) does not fit the text: empty span$"
+        with pytest.raises(ValueError, match=message):
+            fits("abc", Annotation(2, 2, "x"))
 
     def test_inverted_span_reported(self):
-        result = validate_document(AnnotatedDocument("abc", [Annotation(2, 1, "x")]))
-        assert not result.ok
+        with pytest.raises(ValueError, match="inverted span$"):
+            fits("abc", Annotation(2, 1, "x"))
 
     def test_negative_start_reported(self):
-        result = validate_document(AnnotatedDocument("abc", [Annotation(-1, 2, "x")]))
-        assert not result.ok
+        with pytest.raises(ValueError, match="negative start$"):
+            fits("abc", Annotation(-1, 2, "x"))
 
     def test_past_end_reported(self):
-        result = validate_document(AnnotatedDocument("abc", [Annotation(0, 4, "x")]))
-        assert not result.ok
-        assert "past the end" in result.issues[0].reason
+        with pytest.raises(ValueError, match="span extends past the end of the text$"):
+            fits("abc", Annotation(0, 4, "x"))
 
     def test_empty_label_reported(self):
-        result = validate_document(AnnotatedDocument("abc", [Annotation(0, 1, "")]))
-        assert not result.ok
+        with pytest.raises(ValueError, match="empty label$"):
+            fits("abc", Annotation(0, 1, ""))
+
+    @pytest.mark.parametrize(
+        "annotation, reason",
+        [
+            (Annotation(0.5, 2, ""), "offsets must be integers"),
+            (Annotation(-1, -1, ""), "negative start"),
+            (Annotation(2, 2, ""), "empty span"),
+            (Annotation(1, 0, ""), "inverted span"),
+            (Annotation(0, 9, ""), "span extends past the end of the text"),
+        ],
+    )
+    def test_first_reason_wins(self, annotation, reason):
+        # A bad span is reported before an empty label, in the order above.
+        with pytest.raises(ValueError, match=f": {reason}$"):
+            fits("abc", annotation)
 
     def test_every_violation_reported_with_annotation(self):
-        doc = AnnotatedDocument("abc", [Annotation(2, 2, "x"), Annotation(0, 9, "y")])
-        result = validate_document(doc)
-        assert len(result.issues) == 2
-        assert {issue.annotation for issue in result.issues} == doc.annotations
+        # One violation at a time, the first in sorted order first.
+        with pytest.raises(ValueError, match=r"\(0, 9, 'y'\)"):
+            fits("abc", Annotation(2, 2, "x"), Annotation(0, 9, "y"), Annotation(0, 1, "z"))
+        with pytest.raises(ValueError, match=r"\(2, 2, 'x'\)"):
+            fits("abc", Annotation(2, 2, "x"), Annotation(0, 1, "z"))
 
 
 class TestAnnotationText:
+    """An annotation's text is ``doc.text[start:end]`` once its span fits."""
+
     def test_golden_slices(self, golden_doc):
-        assert annotation_text(golden_doc, Annotation(0, 10, "person")) == "Fei-Fei Li"
-        assert annotation_text(golden_doc, Annotation(41, 46, "location")) == "China"
+        check_spans(golden_doc)
+        assert golden_doc.text[0:10] == "Fei-Fei Li"
+        assert golden_doc.text[41:46] == "China"
 
     def test_single_character(self):
-        assert annotation_text(AnnotatedDocument("x"), Annotation(0, 1, "l")) == "x"
+        fits("x", Annotation(0, 1, "l"))
 
     def test_out_of_bounds_raises(self):
-        with pytest.raises(ValueError):
-            annotation_text(AnnotatedDocument("ab"), Annotation(0, 3, "l"))
+        with pytest.raises(ValueError, match="past the end"):
+            fits("ab", Annotation(0, 3, "l"))
 
     def test_offsets_are_code_points_not_bytes(self):
-        assert annotation_text(AnnotatedDocument("ñx"), Annotation(1, 2, "l")) == "x"
+        fits("ñx", Annotation(1, 2, "l"))
+        with pytest.raises(ValueError, match="past the end"):
+            fits("ñx", Annotation(0, 3, "l"))  # 3 UTF-8 bytes, 2 code points
 
     @given(
         st.text(min_size=1, max_size=30),
@@ -126,9 +152,7 @@ class TestAnnotationText:
     def test_never_fails_on_validated_document(self, text, data):
         start = data.draw(st.integers(0, len(text) - 1))
         end = data.draw(st.integers(start + 1, len(text)))
-        doc = AnnotatedDocument(text, [Annotation(start, end, "l")])
-        assert validate_document(doc).ok
-        assert annotation_text(doc, Annotation(start, end, "l")) == text[start:end]
+        fits(text, Annotation(start, end, "l"))
 
 
 class TestFirstOverlap:

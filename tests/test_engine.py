@@ -15,12 +15,16 @@ from chatner import (
     FewShotNer,
     NotContextualizedError,
     ParseError,
+    RateLimitError,
     ZeroShotNer,
 )
 from chatner.client import MockBackend
-from chatner.domain import validate_document
+from chatner.domain import check_spans
 from chatner.engine import NerModel
 from chatner.errors import MalformedResponseError, MockScriptError
+from chatner.templates import PromptTemplateSet
+
+TEMPLATES = PromptTemplateSet()
 
 SCHEMA = {"person": "Names of people.", "location": "Geographic places."}
 
@@ -164,6 +168,11 @@ class TestContextualize:
     def test_zero_concurrency_rejected(self):
         with pytest.raises(ConfigError, match="max_concurrency"):
             NerModel(max_concurrency=0).contextualize(SCHEMA)
+
+    @pytest.mark.parametrize("workers", [float("nan"), 2.5, 2.0, "2", True, None, -1])
+    def test_concurrency_must_be_a_positive_int(self, workers):
+        with pytest.raises(ConfigError, match="max_concurrency must be an int >= 1"):
+            NerModel(max_concurrency=workers).contextualize(SCHEMA)
 
     def test_pos_hook_mode_requires_tagger(self):
         with pytest.raises(ConfigError, match="pos_tagger"):
@@ -352,27 +361,74 @@ class TestPredictOneMultiTurn:
         }
 
 
+def tagged_query(text, tags):
+    block = TEMPLATES.render("pos_block", text=text, tags=tags)
+    return TEMPLATES.render("user_text", text=block)
+
+
 class TestPos:
+    def test_none_sends_the_text_unchanged(self):
+        backend = seq("China won.")
+        ZeroShotNer(backend=backend).contextualize(SCHEMA).predict_one("China won.")
+        assert backend.calls[0][-1].content == TEMPLATES.render("user_text", text="China won.")
+
     def test_via_hook_changes_query_only(self):
-        backend = seq("<person>Ana</person> ran")
+        backend = seq("<person>Ana</person> ran.")
         model = ZeroShotNer(
             pos_mode="via_hook",
-            pos_tagger=lambda text: [(t, "TAG") for t in text.split()],
+            pos_tagger=lambda text: [("Ana", "NNP"), ("ran", "VBD"), (".", ".")],
             backend=backend,
         ).contextualize(SCHEMA)
-        doc, _ = model.predict_one("Ana ran")
+        doc, _ = model.predict_one("Ana ran.")
         assert doc.annotations == {Annotation(0, 3, "person")}
         assert len(backend.calls) == 1
-        assert "Ana/TAG ran/TAG" in backend.calls[0][-1].content
+        assert backend.calls[0][-1].content == tagged_query("Ana ran.", "Ana/NNP ran/VBD ./.")
+
+    @pytest.mark.parametrize("pair", ["China", ("a", "b", "c"), None])
+    def test_via_hook_bad_pair_fails_its_document(self, pair):
+        backend = seq("never sent")
+        model = ZeroShotNer(
+            pos_mode="via_hook", pos_tagger=lambda text: [pair], backend=backend
+        ).contextualize(SCHEMA)
+        with pytest.raises(ConfigError, match=r"POS tagger must yield \(token, tag\) pairs"):
+            model.predict_one("China won.")
+        (result,) = model.predict(["China won."])
+        assert isinstance(result.error, ConfigError)
+        assert backend.calls == []
+
+    def test_pos_tagger_must_be_callable(self):
+        with pytest.raises(ConfigError, match="pos_tagger"):
+            NerModel(pos_mode="via_hook", pos_tagger="nltk").contextualize(SCHEMA)
+        backend = seq("never sent")
+        model = ZeroShotNer(
+            pos_mode="via_hook", pos_tagger=lambda text: [], backend=backend
+        ).contextualize(SCHEMA)
+        (result,) = model.set_params(pos_tagger=None).predict(["China won."])
+        assert isinstance(result.error, ConfigError)
+        assert backend.calls == []
 
     def test_via_llm_adds_one_request(self):
-        backend = seq("Ana/NNP ran/VBD", "<person>Ana</person> ran")
+        backend = seq("  Ana/NNP ran/VBD\n", "<person>Ana</person> ran")
         model = ZeroShotNer(pos_mode="via_llm", backend=backend).contextualize(SCHEMA)
         doc, _ = model.predict_one("Ana ran")
         assert doc.annotations == {Annotation(0, 3, "person")}
+        assert backend.calls[0] == (
+            ChatMessage("system", TEMPLATES.render("pos_system")),
+            ChatMessage("user", TEMPLATES.render("pos_request", text="Ana ran")),
+        )
         assert len(backend.calls) == 2
-        assert "part-of-speech" in backend.calls[0][0].content
-        assert "Ana/NNP ran/VBD" in backend.calls[1][-1].content
+        assert backend.calls[1][-1].content == tagged_query("Ana ran", "Ana/NNP ran/VBD")
+
+    def test_via_llm_tagging_request_is_retried(self):
+        backend = seq(RateLimitError("busy"), "Ana/NNP ran/VBD", "<person>Ana</person> ran")
+        model = ZeroShotNer(
+            pos_mode="via_llm", initial_backoff_ms=0, backend=backend
+        ).contextualize(SCHEMA)
+        (result,) = model.predict(["Ana ran"])
+        assert result.ok
+        assert result.document.annotations == {Annotation(0, 3, "person")}
+        assert len(backend.calls) == 3
+        assert backend.calls[0] == backend.calls[1]
 
     def test_pos_applies_to_query_not_examples(self, fewshot_examples):
         backend = seq("<person>Ana</person> ran")
@@ -435,6 +491,23 @@ class TestPredictBatch:
         with pytest.raises(ConfigError):
             model.predict(["Ana is here"], max_concurrency=0)
 
+    @pytest.mark.parametrize("workers", [float("nan"), 2.5, 2.0, "2", True, -1])
+    def test_concurrency_must_be_a_positive_int(self, workers):
+        model, backend = self.make_model()
+        with pytest.raises(ConfigError, match="max_concurrency must be an int >= 1"):
+            model.predict(["Ana is here", "Peru is far"], max_concurrency=workers)
+        assert backend.calls == []
+
+    def test_long_rate_limit_run_recovers(self):
+        # 2**1024 is past the float range; the backoff must stay at its cap.
+        replies = [RateLimitError("busy")] * 1_100 + ["<person>Ana</person> is here"]
+        model = ZeroShotNer(
+            max_retries=2_000, initial_backoff_ms=0.0, backend=seq(*replies)
+        ).contextualize(SCHEMA)
+        (result,) = model.predict(["Ana is here"])
+        assert result.ok
+        assert result.document.annotations == {Annotation(0, 3, "person")}
+
     def test_per_document_error_isolation(self):
         model, _ = self.make_model()
         results = model.predict(["Ana is here", "no rule covers this", "Peru is far"])
@@ -457,7 +530,7 @@ class TestPredictBatch:
     def test_returned_documents_validate(self):
         model, _ = self.make_model()
         for result in model.predict(["Ana is here", "Peru is far"]):
-            assert validate_document(result.document).ok
+            check_spans(result.document)
 
 
 class TestPlanConversation:

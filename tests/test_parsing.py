@@ -21,7 +21,6 @@ from chatner import (
     parse_inline,
 )
 from chatner import parsing
-from chatner.domain import annotation_text
 from chatner.parsing import align_texts, extract_json_block, parse_json_answer
 from chatner.prompting import render_inline, render_json
 
@@ -337,7 +336,8 @@ class TestParseInline:
             "<country>China</country>"
         )
         doc, _ = parse_inline(completion, golden_text, country_schema)
-        assert annotation_text(doc, sorted(doc.annotations)[1]) == "China"
+        ann = sorted(doc.annotations)[1]
+        assert doc.text[ann.start : ann.end] == "China"
 
     def test_deletion_inside_a_refined_gap_moves_no_neighbour(self):
         # difflib aligns "praiesd" with "praised" but skips one "s" of the

@@ -1,4 +1,4 @@
-"""Prompt composition: system messages, demonstrations, turns, POS blocks."""
+"""Prompt composition: system messages, demonstrations and turns."""
 
 from __future__ import annotations
 
@@ -14,10 +14,8 @@ from chatner import (
     EntitySchema,
     RenderError,
 )
-from chatner.client import BackendConfig, MockBackend
 from chatner.domain import NerConfig
 from chatner.prompting import (
-    augment_with_pos,
     compose_system_prompt,
     plan_turns,
     render_examples,
@@ -292,41 +290,3 @@ class TestTurns:
         assert turn.message.content == TEMPLATES.render(
             "user_text", text="Pedro went to Peru."
         )
-
-
-class TestAugmentWithPos:
-    def test_none_is_identity(self):
-        assert augment_with_pos("China won.", NerConfig()) == "China won."
-
-    def test_hook_formats_token_tag_pairs(self):
-        config = NerConfig(pos_mode="via_hook")
-        out = augment_with_pos(
-            "China won.",
-            config,
-            tagger=lambda text: [("China", "NNP"), ("won", "VBD"), (".", ".")],
-        )
-        assert "China won." in out
-        assert "China/NNP won/VBD ./." in out
-
-    def test_hook_required(self):
-        with pytest.raises(ConfigError):
-            augment_with_pos("x", NerConfig(pos_mode="via_hook"))
-
-    def test_hook_bad_pairs_rejected(self):
-        with pytest.raises(ConfigError):
-            augment_with_pos(
-                "x", NerConfig(pos_mode="via_hook"), tagger=lambda text: ["China"]
-            )
-
-    def test_via_llm_uses_backend_reply(self):
-        backend = MockBackend(replies=["China/NNP won/VBD ./."])
-        config = NerConfig(pos_mode="via_llm")
-        out = augment_with_pos(
-            "China won.",
-            config,
-            backend=backend,
-            backend_config=BackendConfig(),
-        )
-        assert "China/NNP" in out
-        assert len(backend.calls) == 1
-        assert "China won." in backend.calls[0][-1].content

@@ -1,4 +1,4 @@
-"""Prompt composition: system messages, demonstrations and turns."""
+"""Prompt composition: system messages, demonstrations, turns, POS blocks."""
 
 from __future__ import annotations
 
@@ -13,7 +13,9 @@ from chatner import (
     ConfigError,
     EntitySchema,
     RenderError,
+    ZeroShotNer,
 )
+from chatner.client import MockBackend
 from chatner.domain import NerConfig
 from chatner.prompting import (
     compose_system_prompt,
@@ -289,4 +291,48 @@ class TestTurns:
         assert turn.label is None
         assert turn.message.content == TEMPLATES.render(
             "user_text", text="Pedro went to Peru."
+        )
+
+
+def pos_query(text, tags):
+    block = TEMPLATES.render("pos_block", text=text, tags=tags)
+    return TEMPLATES.render("user_text", text=block)
+
+
+class TestAugmentWithPos:
+    """The part-of-speech block the model adds to the user's query."""
+
+    def test_hook_formats_token_tag_pairs(self, country_schema):
+        model = ZeroShotNer(
+            pos_mode="via_hook",
+            pos_tagger=lambda text: [("China", "NNP"), ("won", "VBD"), (".", ".")],
+        ).contextualize(country_schema)
+        out = model.plan_conversation("China won.")[-1].content
+        assert "China won." in out
+        assert "China/NNP won/VBD ./." in out
+        assert out == pos_query("China won.", "China/NNP won/VBD ./.")
+
+    def test_hook_required(self, country_schema):
+        with pytest.raises(ConfigError):
+            ZeroShotNer(pos_mode="via_hook").contextualize(country_schema)
+        model = ZeroShotNer(
+            pos_mode="via_hook", pos_tagger=lambda text: []
+        ).contextualize(country_schema)
+        model.set_params(pos_tagger=None)
+        with pytest.raises(ConfigError, match="needs a tagger callable"):
+            model.plan_conversation("x")
+
+    def test_via_llm_uses_backend_reply(self, country_schema):
+        backend = MockBackend(
+            replies=["China/NNP won/VBD ./.", "<country>China</country> won."]
+        )
+        model = ZeroShotNer(pos_mode="via_llm", backend=backend).contextualize(
+            country_schema
+        )
+        doc, _ = model.predict_one("China won.")
+        assert doc.annotations == {Annotation(0, 5, "country")}
+        assert len(backend.calls) == 2
+        assert "China won." in backend.calls[0][-1].content
+        assert backend.calls[1][-1].content == pos_query(
+            "China won.", "China/NNP won/VBD ./."
         )

@@ -7,7 +7,9 @@ unusable schema, unreachable backend).
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -15,8 +17,8 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .client import DEFAULT_BASE_URL, MockBackend
-from .domain import EntitySchema, document_from_record, document_to_record
+from .client import MockBackend
+from .domain import ANSWER_SHAPES, EntitySchema, document_from_record, document_to_record
 from .engine import FewShotNer, NerModel, ZeroShotNer
 from .errors import (
     AuthenticationError,
@@ -27,9 +29,18 @@ from .errors import (
 from .evaluation import evaluate as evaluate_documents
 from .evaluation import read_conll_file
 
-_METHODS = {"single": "single_turn", "multi": "multi_turn"}
-_MULTI_MODES = {"step": "step_by_step", "final": "final_step"}
-_POS_MODES = {"none": "none", "llm": "via_llm", "hook": "via_hook"}
+# A flag that sets a model parameter is stored under the parameter's name,
+# and defaults to the parameter's default.
+_DEFAULTS = {
+    name: parameter.default
+    for name, parameter in inspect.signature(NerModel).parameters.items()
+}
+# The short flag values of the parameters that take them.
+_SHORT = {
+    "method": {"single": "single_turn", "multi": "multi_turn"},
+    "multi_turn_mode": {"step": "step_by_step", "final": "final_step"},
+    "pos_mode": {"none": "none", "llm": "via_llm", "hook": "via_hook"},
+}
 
 
 def _fail(message: str) -> None:
@@ -61,8 +72,18 @@ def _resolve_backend(spec: str | None):
     raise ConfigError(f"unknown backend {spec!r}; expected mock:<script-file>")
 
 
+@contextlib.contextmanager
+def _decoding(source: str):
+    """Report input that is not UTF-8 as a ConfigError naming its source."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{source} is not UTF-8 text ({exc})") from exc
+
+
 def _read_examples(path: str):
-    content = Path(path).read_text(encoding="utf-8")
+    with _decoding(path):
+        content = Path(path).read_text(encoding="utf-8")
     stripped = content.lstrip()
     try:
         if stripped.startswith("["):
@@ -76,10 +97,11 @@ def _read_examples(path: str):
 
 def _read_input_texts(path: str | None) -> list[str]:
     """One document per line; a line may also be a JSON record with "text"."""
-    if path is None:
-        lines = sys.stdin.read().splitlines()
-    else:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    with _decoding(path or "standard input"):
+        if path is None:
+            lines = sys.stdin.read().splitlines()
+        else:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
     texts = []
     for line in lines:
         if not line.strip():
@@ -96,6 +118,14 @@ def _read_input_texts(path: str | None) -> list[str]:
     return texts
 
 
+def _short_choice(flag: str, name: str, help: str):
+    """A flag taking the short values of model parameter ``name``."""
+    short = _SHORT[name]
+    default = next(key for key, value in short.items() if value == _DEFAULTS[name])
+    return click.option(flag, name, type=click.Choice(sorted(short)),
+                        default=default, show_default=True, help=help)
+
+
 def model_options(require_schema: bool = True):
     """Flags shared by every subcommand that can build a model."""
 
@@ -106,34 +136,33 @@ def model_options(require_schema: bool = True):
                          help="JSON file mapping entity labels to descriptions."),
             click.option("--examples", "examples_path", default=None,
                          help="JSON (list or lines) of annotated example records."),
-            click.option("--method", type=click.Choice(sorted(_METHODS)),
-                         default="single", show_default=True,
-                         help="Prompt for all entities at once, or one per turn."),
-            click.option("--multi-mode", type=click.Choice(sorted(_MULTI_MODES)),
-                         default="step", show_default=True,
-                         help="Parse every turn, or only a final combined answer."),
-            click.option("--shape", type=click.Choice(["inline", "json"]),
-                         default="inline", show_default=True,
+            _short_choice("--method", "method",
+                          "Prompt for all entities at once, or one per turn."),
+            _short_choice("--multi-mode", "multi_turn_mode",
+                          "Parse every turn, or only a final combined answer."),
+            click.option("--shape", "answer_shape", type=click.Choice(ANSWER_SHAPES),
+                         default=_DEFAULTS["answer_shape"], show_default=True,
                          help="Expected answer shape."),
             click.option("--delimiters", nargs=2, default=None,
                          help="Custom open/close mention markers (multi-turn only)."),
-            click.option("--pos", type=click.Choice(sorted(_POS_MODES)),
-                         default="none", show_default=True,
-                         help="Part-of-speech augmentation of the query text."),
+            _short_choice("--pos", "pos_mode",
+                          "Part-of-speech augmentation of the query text."),
             click.option("--pos-hook", default=None,
                          help="module:function returning (token, tag) pairs; "
                               "used with --pos hook."),
-            click.option("--base-url", default=DEFAULT_BASE_URL, show_default=True),
-            click.option("--model", "model_name", default="gpt-3.5-turbo",
+            click.option("--base-url", default=_DEFAULTS["base_url"], show_default=True),
+            click.option("--model", default=_DEFAULTS["model"], show_default=True),
+            click.option("--temperature", type=float, default=_DEFAULTS["temperature"],
                          show_default=True),
-            click.option("--temperature", type=float, default=0.0, show_default=True),
-            click.option("--concurrency", type=int, default=1, show_default=True,
+            click.option("--concurrency", "max_concurrency", type=int,
+                         default=_DEFAULTS["max_concurrency"], show_default=True,
                          help="Maximum in-flight requests."),
-            click.option("--retries", type=int, default=3, show_default=True,
+            click.option("--retries", "max_retries", type=int,
+                         default=_DEFAULTS["max_retries"], show_default=True,
                          help="Maximum retries after a retryable backend failure."),
             click.option("--backend", "backend_spec", default=None,
                          help="mock:<script-file> for an offline scripted backend."),
-            click.option("--templates", "templates_path", default=None,
+            click.option("--templates", default=None,
                          help="JSON file of prompt template overrides."),
         ]
         for option in reversed(options):
@@ -147,36 +176,18 @@ def _build_model(
     *,
     schema_path: str,
     examples_path: str | None,
-    method: str,
-    multi_mode: str,
-    shape: str,
-    delimiters,
-    pos: str,
     pos_hook: str | None,
-    base_url: str,
-    model_name: str,
-    temperature: float,
-    concurrency: int,
-    retries: int,
     backend_spec: str | None,
-    templates_path: str | None,
+    **params,
 ) -> NerModel:
     schema = EntitySchema.from_file(schema_path)
     examples = _read_examples(examples_path) if examples_path else None
     cls = FewShotNer if examples else ZeroShotNer
+    for name, short in _SHORT.items():
+        params[name] = short[params[name]]
     model = cls(
-        method=_METHODS[method],
-        multi_turn_mode=_MULTI_MODES[multi_mode],
-        answer_shape=shape,
-        delimiters=tuple(delimiters) if delimiters else None,
-        pos_mode=_POS_MODES[pos],
+        **params,
         pos_tagger=_load_hook(pos_hook) if pos_hook else None,
-        model=model_name,
-        temperature=temperature,
-        max_concurrency=concurrency,
-        max_retries=retries,
-        base_url=base_url,
-        templates=templates_path,
         backend=_resolve_backend(backend_spec),
     )
     model.contextualize(schema, examples=examples)
@@ -275,9 +286,11 @@ def evaluate(gold_path, predictions_path, matching, output_path, **model_flags):
     """Score predictions against a gold CoNLL file and print the table."""
     results = None
     try:
-        gold = read_conll_file(gold_path)
+        with _decoding(gold_path):
+            gold = read_conll_file(gold_path)
         if predictions_path is not None:
-            content = Path(predictions_path).read_text(encoding="utf-8")
+            with _decoding(predictions_path):
+                content = Path(predictions_path).read_text(encoding="utf-8")
             try:
                 predicted = [
                     document_from_record(json.loads(line))

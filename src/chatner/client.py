@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol
 
+from .domain import read_json_object
 from .errors import (
     AuthenticationError,
     BackendConnectionError,
@@ -38,7 +39,6 @@ from .errors import (
     ServerError,
 )
 
-DEFAULT_BASE_URL = "https://api.openai.com/v1"
 API_KEY_ENV = "OPENAI_API_KEY"
 MAX_BACKOFF_MS = 30_000
 JITTER = 0.2
@@ -48,7 +48,7 @@ JITTER = 0.2
 class BackendConfig:
     """Connection settings for an OpenAI-compatible chat-completions API."""
 
-    base_url: str = DEFAULT_BASE_URL
+    base_url: str = "https://api.openai.com/v1"
     api_key: str | None = None
     model: str = "gpt-3.5-turbo"
     temperature: float = 0.0
@@ -261,13 +261,7 @@ class MockBackend:
     @classmethod
     def from_file(cls, path: str | Path) -> "MockBackend":
         """Load a script from JSON: {"replies": [...]} or {"matchers": [[substring, reply], ...]}."""
-        with open(path, encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"mock script {path}: invalid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"mock script {path} must hold a JSON object")
+        data = read_json_object(path, "mock script", ConfigError)
         if ("replies" in data) == ("matchers" in data):
             raise ConfigError(
                 f"mock script {path} must define exactly one of 'replies' or 'matchers'"

@@ -154,19 +154,34 @@ class EntitySchema(Mapping):
     @classmethod
     def from_file(cls, path: str | Path) -> "EntitySchema":
         """Load a schema from a JSON object mapping label to description."""
+        return cls(read_json_object(path, "schema file", ConfigError))
+
+
+def read_json_object(path: str | Path, what: str, error: type[Exception]) -> dict:
+    """The JSON object held in the UTF-8 file ``path``.
+
+    Content that is not UTF-8, not JSON or not an object raises ``error``
+    with a message naming the file as ``what``; OSError passes through.
+    """
+    try:
         with open(path, encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"schema file {path}: invalid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"schema file {path} must hold a JSON object")
-        return cls(data)
+            data = json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise error(f"{what} {path} must hold a JSON object")
+    return data
 
 
 @dataclass(frozen=True)
 class NerConfig:
     """Everything that shapes one annotation run, minus the schema.
+
+    This is where each run setting's name, default and allowed values are
+    stated; :class:`chatner.engine.NerModel` takes the same names with the
+    same defaults, and the command line defaults to them as well.
 
     ``delimiters`` replaces the default label-named tags with one custom
     open/close pair; since a single pair cannot express several entity
@@ -174,37 +189,28 @@ class NerConfig:
     with the in-line answer shape, which is the one it marks up.
     """
 
-    prompting_method: str = "single_turn"
+    method: str = "single_turn"
     multi_turn_mode: str = "step_by_step"
     answer_shape: str = "inline"
     delimiters: tuple[str, str] | None = None
     pos_mode: str = "none"
 
     def __post_init__(self) -> None:
-        if self.prompting_method not in PROMPTING_METHODS:
-            raise ConfigError(
-                f"prompting_method must be one of {PROMPTING_METHODS}, "
-                f"got {self.prompting_method!r}"
-            )
-        if self.multi_turn_mode not in MULTI_TURN_MODES:
-            raise ConfigError(
-                f"multi_turn_mode must be one of {MULTI_TURN_MODES}, "
-                f"got {self.multi_turn_mode!r}"
-            )
-        if self.answer_shape not in ANSWER_SHAPES:
-            raise ConfigError(
-                f"answer_shape must be one of {ANSWER_SHAPES}, got {self.answer_shape!r}"
-            )
-        if self.pos_mode not in POS_MODES:
-            raise ConfigError(
-                f"pos_mode must be one of {POS_MODES}, got {self.pos_mode!r}"
-            )
+        for name, allowed in (
+            ("method", PROMPTING_METHODS),
+            ("multi_turn_mode", MULTI_TURN_MODES),
+            ("answer_shape", ANSWER_SHAPES),
+            ("pos_mode", POS_MODES),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
         if self.delimiters is not None:
             pair = tuple(self.delimiters)
             if len(pair) != 2 or not all(isinstance(p, str) and p for p in pair):
                 raise ConfigError("delimiters must be a pair of non-empty strings")
             object.__setattr__(self, "delimiters", pair)
-            if self.prompting_method != "multi_turn":
+            if self.method != "multi_turn":
                 raise ConfigError("custom delimiters require multi-turn prompting")
             if self.answer_shape != "inline":
                 raise ConfigError("custom delimiters require the inline answer shape")

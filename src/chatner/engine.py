@@ -12,17 +12,11 @@ from __future__ import annotations
 import inspect
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
-from .client import (
-    BackendConfig,
-    CompletionBackend,
-    DEFAULT_BASE_URL,
-    HttpBackend,
-    chat_complete,
-)
+from .client import BackendConfig, CompletionBackend, HttpBackend, chat_complete
 from .domain import AnnotatedDocument, EntitySchema, NerConfig
 from .errors import (
     ChatnerError,
@@ -98,6 +92,14 @@ def ensure_texts(texts) -> list[str]:
     return items
 
 
+def _config_from_params(config_class, model):
+    """An instance of the dataclass ``config_class`` from the like-named
+    parameters of ``model``."""
+    return config_class(
+        **{field.name: getattr(model, field.name) for field in fields(config_class)}
+    )
+
+
 def _check_workers(workers: int) -> int:
     # Exactly an int: NaN passes ``< 1`` and then starts no thread at all.
     if type(workers) is not int or workers < 1:
@@ -127,30 +129,32 @@ class NerModel:
     backend : any object with a ``complete(conversation, config)`` method;
         defaults to the live HTTP client for ``base_url``.
 
-    The remaining parameters mirror the connection settings of
-    :class:`chatner.client.BackendConfig`.
+    The remaining parameters are the connection settings of
+    :class:`chatner.client.BackendConfig`. Every parameter that names a
+    field of it or of :class:`chatner.domain.NerConfig` takes its default
+    from there, and ``contextualize`` builds both from these parameters.
     """
 
     def __init__(
         self,
         *,
-        method: str = "single_turn",
-        multi_turn_mode: str = "step_by_step",
-        answer_shape: str = "inline",
-        delimiters: tuple[str, str] | None = None,
-        pos_mode: str = "none",
+        method: str = NerConfig.method,
+        multi_turn_mode: str = NerConfig.multi_turn_mode,
+        answer_shape: str = NerConfig.answer_shape,
+        delimiters: tuple[str, str] | None = NerConfig.delimiters,
+        pos_mode: str = NerConfig.pos_mode,
         pos_tagger: Callable | None = None,
-        model: str = "gpt-3.5-turbo",
-        temperature: float = 0.0,
-        max_tokens: int = 1024,
-        max_retries: int = 3,
+        model: str = BackendConfig.model,
+        temperature: float = BackendConfig.temperature,
+        max_tokens: int = BackendConfig.max_tokens,
+        max_retries: int = BackendConfig.max_retries,
         max_concurrency: int = 1,
         templates: PromptTemplateSet | Mapping[str, str] | str | Path | None = None,
         backend: CompletionBackend | None = None,
-        base_url: str = DEFAULT_BASE_URL,
-        api_key: str | None = None,
-        timeout: float = 60.0,
-        initial_backoff_ms: float = 500.0,
+        base_url: str = BackendConfig.base_url,
+        api_key: str | None = BackendConfig.api_key,
+        timeout: float = BackendConfig.timeout,
+        initial_backoff_ms: float = BackendConfig.initial_backoff_ms,
     ):
         self.method = method
         self.multi_turn_mode = multi_turn_mode
@@ -212,13 +216,7 @@ class NerModel:
         unlocks :meth:`predict`. Returns self for chaining.
         """
         schema = entities if isinstance(entities, EntitySchema) else EntitySchema(entities)
-        config = NerConfig(
-            prompting_method=self.method,
-            multi_turn_mode=self.multi_turn_mode,
-            answer_shape=self.answer_shape,
-            delimiters=self.delimiters,
-            pos_mode=self.pos_mode,
-        )
+        config = _config_from_params(NerConfig, self)
         _check_workers(self.max_concurrency)
         if config.pos_mode == "via_hook" and not callable(self.pos_tagger):
             raise ConfigError("pos_mode 'via_hook' needs the pos_tagger parameter")
@@ -232,16 +230,7 @@ class NerModel:
         self.config_ = config
         self.templates_ = templates
         self.backend_ = self.backend if self.backend is not None else HttpBackend()
-        self.backend_config_ = BackendConfig(
-            base_url=self.base_url,
-            api_key=self.api_key,
-            model=self.model,
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            initial_backoff_ms=self.initial_backoff_ms,
-        )
+        self.backend_config_ = _config_from_params(BackendConfig, self)
         self.prefix_ = tuple(prefix)
         self.schema_ = schema
         return self
@@ -284,8 +273,16 @@ class NerModel:
             # Read at call time, so a set_params after contextualize applies.
             if not callable(self.pos_tagger):
                 raise ConfigError("pos_mode 'via_hook' needs a tagger callable")
+            returned = self.pos_tagger(text)
+            try:
+                pairs = iter(returned)
+            except TypeError:
+                raise ConfigError(
+                    "POS tagger must return an iterable of (token, tag) pairs, "
+                    f"got {type(returned).__name__}"
+                ) from None
             formatted = []
-            for pair in self.pos_tagger(text):
+            for pair in pairs:
                 try:
                     token, tag = pair
                 except (TypeError, ValueError):
@@ -383,7 +380,7 @@ class NerModel:
         messages = list(self.prefix_)
         for message, _ in plan_turns(query, self.schema_, config, self.templates_):
             messages.append(message)
-            if config.prompting_method == "multi_turn":
+            if config.method == "multi_turn":
                 messages.append(ChatMessage("assistant", "{response}"))
         return tuple(messages)
 

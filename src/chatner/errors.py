@@ -18,7 +18,8 @@ class RenderError(ChatnerError, ValueError):
 
 
 class ConversationError(ChatnerError, ValueError):
-    """A conversation violates the role-ordering contract."""
+    """A chat message or a conversation is malformed: a message with an
+    unknown role or empty content, or messages out of role order."""
 
 
 class ParseError(ChatnerError, ValueError):

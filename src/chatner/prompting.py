@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .domain import AnnotatedDocument, EntitySchema, NerConfig, check_spans, first_overlap
-from .errors import ConfigError, RenderError
+from .errors import ConfigError, ConversationError, RenderError
 from .templates import PromptTemplateSet
 
 ROLES = ("system", "user", "assistant")
@@ -23,9 +23,9 @@ class ChatMessage:
 
     def __post_init__(self) -> None:
         if self.role not in ROLES:
-            raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
+            raise ConversationError(f"role must be one of {ROLES}, got {self.role!r}")
         if not isinstance(self.content, str) or not self.content:
-            raise ValueError("message content must be a non-empty string")
+            raise ConversationError("message content must be a non-empty string")
 
 
 def _natural_join(items: Sequence[str]) -> str:
@@ -72,7 +72,7 @@ def compose_system_prompt(
         templates.render("entity_item", label=label, description=description)
         for label, description in schema.items()
     )
-    if config.prompting_method == "single_turn":
+    if config.method == "single_turn":
         method = templates.render("method_single", labels=_natural_join(schema.labels))
         shape = _full_shape(schema, config, templates)
     else:
@@ -197,7 +197,7 @@ def render_examples(
         if unknown:
             raise ConfigError(f"example {position} uses labels outside the schema: {unknown}")
         for user, label in plan_turns(example.text, schema, config, templates):
-            if label is None and config.prompting_method == "multi_turn":
+            if label is None and config.method == "multi_turn":
                 continue  # final-step's closing turn is not demonstrated
             shown, shown_schema = example, schema
             if label is not None:
@@ -239,7 +239,7 @@ def plan_turns(
     :meth:`NerModel.plan_conversation` share this plan.
     """
     templates = templates or PromptTemplateSet()
-    if config.prompting_method == "single_turn":
+    if config.method == "single_turn":
         return (Turn(ChatMessage("user", templates.render("user_text", text=text)), None),)
     turns = []
     for position, label in enumerate(schema.labels):

@@ -9,37 +9,13 @@ time against the set each template is allowed to reference.
 
 from __future__ import annotations
 
-import json
 import string
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .domain import read_json_object
 from .errors import TemplateError
-
-# Template name -> placeholders it may reference. Bindings are supplied by
-# the prompting layer, so a placeholder outside this set could never be
-# filled and is rejected when the template set is built.
-TEMPLATE_PLACEHOLDERS: dict[str, frozenset[str]] = {
-    "system": frozenset({"method_instructions", "entity_list", "shape_instructions"}),
-    "entity_item": frozenset({"label", "description"}),
-    "method_single": frozenset({"labels"}),
-    "method_multi": frozenset(),
-    "method_multi_final": frozenset(),
-    "shape_inline": frozenset({"tag_examples"}),
-    "tag_example": frozenset({"label"}),
-    "shape_json": frozenset({"json_example", "labels"}),
-    "shape_json_turn": frozenset({"json_example"}),
-    "shape_delimiters": frozenset({"open", "close"}),
-    "shape_final_intro": frozenset({"instructions"}),
-    "user_text": frozenset({"text"}),
-    "turn_first": frozenset({"label", "text"}),
-    "turn_next": frozenset({"label"}),
-    "turn_final": frozenset(),
-    "pos_system": frozenset(),
-    "pos_request": frozenset({"text"}),
-    "pos_block": frozenset({"text", "tags"}),
-}
 
 _ENGLISH = {
     "system": (
@@ -133,6 +109,15 @@ def _placeholder_names(name: str, template: str) -> set[str]:
     return names
 
 
+# Template name -> placeholders it may reference: exactly those its English
+# text uses. Bindings are supplied by the prompting layer, so a placeholder
+# outside this set could never be filled and is rejected when the template
+# set is built.
+TEMPLATE_PLACEHOLDERS: dict[str, frozenset[str]] = {
+    name: frozenset(_placeholder_names(name, template)) for name, template in _ENGLISH.items()
+}
+
+
 class _StrictBindings(dict):
     def __init__(self, name: str, values: Mapping[str, object]):
         super().__init__(values)
@@ -187,11 +172,4 @@ class PromptTemplateSet:
     @classmethod
     def from_file(cls, path: str | Path) -> "PromptTemplateSet":
         """Load overrides from a flat JSON object of name -> template string."""
-        with open(path, encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise TemplateError(f"template file {path}: invalid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise TemplateError(f"template file {path} must hold a JSON object")
-        return cls.with_overrides(data)
+        return cls.with_overrides(read_json_object(path, "template file", TemplateError))

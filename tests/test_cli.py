@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from chatner import ZeroShotNer, cli
 from chatner.cli import main
 
 GOLDEN_TEXT = "Fei-Fei Li is a female scientist born in China."
@@ -114,6 +115,18 @@ class TestAnnotate:
         assert "error" not in lines[0]
         assert "error" in lines[1]
         assert lines[1]["annotations"] == []
+
+    def test_empty_rendered_message_fails_documents_not_the_run(self, runner, workdir):
+        (workdir / "fr.json").write_text('{"turn_next": ""}', encoding="utf-8")
+        result = runner.invoke(
+            main,
+            ["annotate", *args(workdir, "--method", "multi",
+                               "--templates", str(workdir / "fr.json"))],
+            input=GOLDEN_TEXT + "\n",
+        )
+        assert result.exit_code == 2, result.output
+        (record,) = [json.loads(line) for line in result.stdout.splitlines()]
+        assert "non-empty" in record["error"]
 
     def test_unusable_schema_fatal(self, runner, workdir):
         (workdir / "schema.json").write_text("{}", encoding="utf-8")
@@ -356,6 +369,42 @@ class TestDumpPrompt:
             ],
         )
         assert result.exit_code == 0
+
+
+class TestModelFlags:
+    def test_no_model_flags_build_the_default_model(self, runner, workdir, monkeypatch):
+        built = []
+        build = cli._build_model
+
+        def spy(**flags):
+            built.append(build(**flags))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_build_model", spy)
+        result = runner.invoke(
+            main, ["dump-prompt", "--schema", str(workdir / "schema.json"), "--text", "Ada"]
+        )
+        assert result.exit_code == 0, result.output
+        assert built[0].get_params() == ZeroShotNer().get_params()
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--input", "--schema", "--examples", "--templates", "--backend",
+         "--gold", "--predictions"],
+    )
+    def test_file_that_is_not_utf8_is_named(self, runner, workdir, flag):
+        bad = workdir / "latin1.txt"
+        bad.write_bytes(b"caf\xe9\n")
+        if flag in ("--gold", "--predictions"):
+            command = ["evaluate", "--gold", str(DATA / "sample50_iob2.conll"),
+                       "--predictions", str(workdir / "input.txt")]
+        else:
+            command = ["annotate", *args(workdir, "--input", str(workdir / "input.txt"))]
+        value = f"mock:{bad}" if flag == "--backend" else str(bad)
+        result = runner.invoke(main, [*command, flag, value])
+        assert result.exit_code == 1, result.output
+        assert result.stderr.startswith("error: ")
+        assert f"{bad} is not UTF-8 text" in result.stderr
 
 
 class TestHelp:

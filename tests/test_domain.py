@@ -14,10 +14,13 @@ from chatner import (
     Annotation,
     ConfigError,
     EntitySchema,
+    MockBackend,
+    TemplateError,
     document_from_record,
     document_to_record,
 )
 from chatner.domain import NerConfig, check_spans, first_overlap
+from chatner.templates import PromptTemplateSet
 
 
 class TestAnnotation:
@@ -208,26 +211,53 @@ class TestEntitySchema:
             EntitySchema.from_file(path)
 
 
+class TestReadJsonObject:
+    @pytest.mark.parametrize(
+        "load, what, error",
+        [
+            (EntitySchema.from_file, "schema file", ConfigError),
+            (PromptTemplateSet.from_file, "template file", TemplateError),
+            (MockBackend.from_file, "mock script", ConfigError),
+        ],
+        ids=["schema", "templates", "mock"],
+    )
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"person": ', ": invalid JSON ("),
+            (b'["person"]', " must hold a JSON object"),
+            (b'{"caf\xe9": "x"}', " is not UTF-8 text ("),
+        ],
+        ids=["invalid", "not-object", "not-utf8"],
+    )
+    def test_every_loader_names_the_file(self, tmp_path, load, what, error, content, message):
+        path = tmp_path / "settings.json"
+        path.write_bytes(content)
+        with pytest.raises(error) as info:
+            load(path)
+        assert str(info.value).startswith(f"{what} {path}{message}")
+
+
 class TestNerConfig:
     def test_defaults(self):
         config = NerConfig()
-        assert config.prompting_method == "single_turn"
+        assert config.method == "single_turn"
         assert config.answer_shape == "inline"
         assert config.delimiters is None
         assert config.pos_mode == "none"
 
     def test_delimiters_require_multi_turn(self):
         with pytest.raises(ConfigError, match="custom delimiters require multi-turn"):
-            NerConfig(prompting_method="single_turn", delimiters=("@@", "##"))
+            NerConfig(method="single_turn", delimiters=("@@", "##"))
 
     def test_delimiters_accepted_with_multi_turn(self):
-        config = NerConfig(prompting_method="multi_turn", delimiters=("@@", "##"))
+        config = NerConfig(method="multi_turn", delimiters=("@@", "##"))
         assert config.delimiters == ("@@", "##")
 
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("prompting_method", "telepathy"),
+            ("method", "telepathy"),
             ("multi_turn_mode", "both"),
             ("answer_shape", "xml"),
             ("pos_mode", "maybe"),
@@ -240,12 +270,12 @@ class TestNerConfig:
     def test_delimiters_require_inline_shape(self):
         with pytest.raises(ConfigError, match="inline answer shape"):
             NerConfig(
-                prompting_method="multi_turn", answer_shape="json", delimiters=("@@", "##")
+                method="multi_turn", answer_shape="json", delimiters=("@@", "##")
             )
 
     def test_exactly_the_run_shaping_fields(self):
         assert [f.name for f in dataclasses.fields(NerConfig)] == [
-            "prompting_method",
+            "method",
             "multi_turn_mode",
             "answer_shape",
             "delimiters",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 
 import pytest
@@ -11,6 +13,7 @@ from chatner import (
     Annotation,
     ChatMessage,
     ConfigError,
+    ConversationError,
     EntitySchema,
     FewShotNer,
     NotContextualizedError,
@@ -18,8 +21,8 @@ from chatner import (
     RateLimitError,
     ZeroShotNer,
 )
-from chatner.client import MockBackend
-from chatner.domain import check_spans
+from chatner.client import BackendConfig, MockBackend
+from chatner.domain import NerConfig, check_spans
 from chatner.engine import NerModel
 from chatner.errors import MalformedResponseError, MockScriptError
 from chatner.templates import PromptTemplateSet
@@ -54,6 +57,12 @@ class TestParams:
     def test_set_params_rejects_unknown(self):
         with pytest.raises(ValueError, match="invalid parameter"):
             NerModel().set_params(tempurature=1.0)
+
+    @pytest.mark.parametrize("config_class", [NerConfig, BackendConfig])
+    def test_config_fields_are_parameters_with_the_same_default(self, config_class):
+        parameters = inspect.signature(NerModel).parameters
+        for field in dataclasses.fields(config_class):
+            assert parameters[field.name].default == field.default, field.name
 
     def test_constructor_stores_values_verbatim_without_validation(self):
         model = NerModel(method="telepathy")
@@ -396,6 +405,28 @@ class TestPos:
         assert isinstance(result.error, ConfigError)
         assert backend.calls == []
 
+    def test_via_hook_non_iterable_fails_each_document(self):
+        backend = seq("never sent")
+        model = ZeroShotNer(
+            pos_mode="via_hook", pos_tagger=lambda text: None, backend=backend
+        ).contextualize(SCHEMA)
+        results = model.predict(["Ada", "Bob"])
+        assert [result.document.text for result in results] == ["Ada", "Bob"]
+        for result in results:
+            assert isinstance(result.error, ConfigError)
+            assert "iterable of (token, tag) pairs, got NoneType" in str(result.error)
+        assert backend.calls == []
+
+    def test_via_hook_errors_of_the_tagger_itself_propagate(self):
+        def tagger(text):
+            raise TypeError("the tagger's own bug")
+
+        model = ZeroShotNer(
+            pos_mode="via_hook", pos_tagger=tagger, backend=seq("never sent")
+        ).contextualize(SCHEMA)
+        with pytest.raises(TypeError, match="the tagger's own bug"):
+            model.predict_one("Ada")
+
     def test_pos_tagger_must_be_callable(self):
         with pytest.raises(ConfigError, match="pos_tagger"):
             NerModel(pos_mode="via_hook", pos_tagger="nltk").contextualize(SCHEMA)
@@ -516,6 +547,27 @@ class TestPredictBatch:
         assert isinstance(results[1].error, MockScriptError)
         assert results[1].document.text == "no rule covers this"
         assert results[1].document.annotations == frozenset()
+
+    def test_empty_rendered_message_fails_only_its_document(self):
+        backend = seq("<person>Ada</person>")
+        model = ZeroShotNer(
+            templates={"user_text": "{text}"}, backend=backend
+        ).contextualize(SCHEMA)
+        results = model.predict(["", "Ada"])
+        assert isinstance(results[0].error, ConversationError)
+        assert results[1].ok
+        assert results[1].document.annotations == {Annotation(0, 3, "person")}
+        assert len(backend.calls) == 1
+
+    def test_empty_turn_template_is_a_per_document_error(self):
+        backend = seq("never sent")
+        model = ZeroShotNer(
+            method="multi_turn", templates={"turn_next": ""}, backend=backend
+        ).contextualize(SCHEMA)
+        results = model.predict(["Ada", "Bob"])
+        assert [result.document.text for result in results] == ["Ada", "Bob"]
+        assert all(isinstance(result.error, ConversationError) for result in results)
+        assert backend.calls == []
 
     def test_too_deep_json_fails_only_its_document(self):
         deep = '{"a":' * 5_000 + "{}" + "}" * 5_000

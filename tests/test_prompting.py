@@ -75,14 +75,14 @@ class TestComposeSystemPrompt:
 
     def test_multi_turn_announces_one_at_a_time(self, golden_schema):
         message = compose_system_prompt(
-            golden_schema, NerConfig(prompting_method="multi_turn"), TEMPLATES
+            golden_schema, NerConfig(method="multi_turn"), TEMPLATES
         )
         assert "one entity at a time" in message.content
 
     def test_final_step_includes_full_shape_contract(self, golden_schema):
         message = compose_system_prompt(
             golden_schema,
-            NerConfig(prompting_method="multi_turn", multi_turn_mode="final_step"),
+            NerConfig(method="multi_turn", multi_turn_mode="final_step"),
             TEMPLATES,
         )
         assert "all the entities" in message.content
@@ -91,7 +91,7 @@ class TestComposeSystemPrompt:
     def test_delimiters_described(self, golden_schema):
         message = compose_system_prompt(
             golden_schema,
-            NerConfig(prompting_method="multi_turn", delimiters=("@@", "##")),
+            NerConfig(method="multi_turn", delimiters=("@@", "##")),
             TEMPLATES,
         )
         assert "@@" in message.content and "##" in message.content
@@ -192,7 +192,7 @@ class TestRenderExamples:
         pairs = render_examples(
             fewshot_examples[:1],
             golden_schema,
-            NerConfig(prompting_method="multi_turn"),
+            NerConfig(method="multi_turn"),
             TEMPLATES,
         )
         assert len(pairs) == len(golden_schema)
@@ -204,7 +204,7 @@ class TestRenderExamples:
             render_examples(
                 fewshot_examples,
                 golden_schema,
-                NerConfig(prompting_method="multi_turn", multi_turn_mode=mode),
+                NerConfig(method="multi_turn", multi_turn_mode=mode),
                 TEMPLATES,
             )
             for mode in ("step_by_step", "final_step")
@@ -216,7 +216,7 @@ class TestRenderExamples:
         pairs = render_examples(
             fewshot_examples[:1],
             golden_schema,
-            NerConfig(prompting_method="multi_turn"),
+            NerConfig(method="multi_turn"),
             TEMPLATES,
         )
         assert fewshot_examples[0].text in pairs[0][0].content
@@ -230,7 +230,7 @@ class TestRenderExamples:
         pairs = render_examples(
             [doc],
             schema,
-            NerConfig(prompting_method="multi_turn", delimiters=("@@", "##")),
+            NerConfig(method="multi_turn", delimiters=("@@", "##")),
             TEMPLATES,
         )
         assert pairs[0][1].content == "@@Bill Gates## is the owner of Microsoft"
@@ -256,7 +256,7 @@ class TestRenderExamples:
 class TestTurns:
     def make_plan(self, mode="step_by_step", method="multi_turn"):
         schema = EntitySchema({"location": "Places.", "person": "People."})
-        config = NerConfig(prompting_method=method, multi_turn_mode=mode)
+        config = NerConfig(method=method, multi_turn_mode=mode)
         return plan_turns("Pedro went to Peru.", schema, config, TEMPLATES)
 
     def test_first_turn_names_first_label_and_text(self):

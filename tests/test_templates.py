@@ -16,6 +16,28 @@ class TestDefaults:
         for name in TEMPLATE_PLACEHOLDERS:
             assert name in templates.templates
 
+    def test_placeholders_are_those_the_english_templates_use(self):
+        assert TEMPLATE_PLACEHOLDERS == {
+            "system": frozenset({"method_instructions", "entity_list", "shape_instructions"}),
+            "entity_item": frozenset({"label", "description"}),
+            "method_single": frozenset({"labels"}),
+            "method_multi": frozenset(),
+            "method_multi_final": frozenset(),
+            "shape_inline": frozenset({"tag_examples"}),
+            "tag_example": frozenset({"label"}),
+            "shape_json": frozenset({"json_example", "labels"}),
+            "shape_json_turn": frozenset({"json_example"}),
+            "shape_delimiters": frozenset({"open", "close"}),
+            "shape_final_intro": frozenset({"instructions"}),
+            "user_text": frozenset({"text"}),
+            "turn_first": frozenset({"label", "text"}),
+            "turn_next": frozenset({"label"}),
+            "turn_final": frozenset(),
+            "pos_system": frozenset(),
+            "pos_request": frozenset({"text"}),
+            "pos_block": frozenset({"text", "tags"}),
+        }
+
     def test_render_binds_placeholders(self):
         out = PromptTemplateSet().render("user_text", text="hello")
         assert out == "Text:\nhello"

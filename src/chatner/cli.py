@@ -91,7 +91,7 @@ def _read_examples(path: str):
         else:
             records = [json.loads(line) for line in content.splitlines() if line.strip()]
         return [document_from_record(record) for record in records]
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read examples from {path}: {exc}") from exc
 
 
@@ -109,7 +109,7 @@ def _read_input_texts(path: str | None) -> list[str]:
         if line.lstrip().startswith("{"):
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):  # read as plain text
                 record = None
             if isinstance(record, dict) and isinstance(record.get("text"), str):
                 texts.append(record["text"])
@@ -297,7 +297,7 @@ def evaluate(gold_path, predictions_path, matching, output_path, **model_flags):
                     for line in content.splitlines()
                     if line.strip()
                 ]
-            except (json.JSONDecodeError, ValueError) as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ConfigError(
                     f"cannot read predictions from {predictions_path}: {exc}"
                 ) from exc

@@ -160,15 +160,16 @@ class EntitySchema(Mapping):
 def read_json_object(path: str | Path, what: str, error: type[Exception]) -> dict:
     """The JSON object held in the UTF-8 file ``path``.
 
-    Content that is not UTF-8, not JSON or not an object raises ``error``
-    with a message naming the file as ``what``; OSError passes through.
+    Content that is not UTF-8, not JSON, nested too deep to decode or not
+    an object raises ``error`` with a message naming the file as ``what``;
+    OSError passes through.
     """
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path} is not UTF-8 text ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep to decode
         raise error(f"{what} {path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise error(f"{what} {path} must hold a JSON object")

@@ -10,9 +10,11 @@ annotation is always a verbatim occurrence of the enclosed mention.
 Alignment pairs tokens by a longest common subsequence: the common prefix
 and suffix are paired directly, tokens missing from the other side are
 dropped, and Myers' O(ND) difference algorithm pairs the rest within a
-fixed work budget. Only gaps of bounded length are refined character by
-character, so alignment, like JSON block extraction, takes near-linear
-time and recurses nowhere.
+fixed work budget. A run of pairs with equal whitespace between them maps
+as one piece; only bounded gaps between runs are refined character by
+character, so alignment, like JSON block extraction, takes near-linear time
+and recurses nowhere. Tokens and tags come from one ``re.split`` each, so
+no Python loop builds a string, an offset or an alignment piece per token.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ import re
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, cycle, repeat
 from typing import Sequence
 
 from .domain import AnnotatedDocument, Annotation, EntitySchema
 from .errors import ConfigError, ParseError
 
-_TOKEN_RE = re.compile(r"\S+")
+_SPACE_RE = re.compile(r"(\s+)")
 _JSON_SYNTAX_RE = re.compile(r'[{}"\\]')
 
 # Work (edit-graph cells plus diagonal moves, checked once per round) the
@@ -65,13 +68,20 @@ class AlignmentMap:
         """
         if not self.segments:
             return 0
-        index = bisect_right(
-            self.segments, offset - 1 if prefer_end else offset, key=itemgetter(0)
-        )
-        s_lo, s_hi, o_lo, o_hi = self.segments[max(0, index - 1)]
-        offset = max(s_lo, min(offset, s_hi))
-        # Exact for equal lengths: k * n / n is k in floating point.
+        index = bisect_right(self._starts, offset - 1 if prefer_end else offset)
+        s_lo, s_hi, o_lo, o_hi = self.segments[index - 1 if index else 0]
+        if offset >= s_hi:
+            return o_hi
+        if offset <= s_lo:
+            return o_lo
+        if s_hi - s_lo == o_hi - o_lo:
+            return o_lo + offset - s_lo
+        # Proportional, and exact at both ends: k * n / k is n in floating point.
         return o_lo + round((offset - s_lo) * (o_hi - o_lo) / (s_hi - s_lo))
+
+    @cached_property
+    def _starts(self) -> list[int]:
+        return [segment[0] for segment in self.segments]
 
     def map_span(self, start: int, end: int) -> tuple[int, int]:
         """Map a stripped span; the end never falls before the start."""
@@ -87,13 +97,15 @@ class ParseReport:
     warnings: tuple[str, ...]
 
 
-def _myers_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]] | None:
-    """Index pairs of a longest common subsequence, by Myers' greedy search.
+def _myers_snakes(a: list[str], b: list[str]) -> list[tuple[int, int, int]] | None:
+    """A longest common subsequence by Myers' greedy search, as snakes.
 
     Round ``d`` records the furthest point reached on every diagonal with
     ``d`` insertions and deletions (Myers 1986, "An O(ND) Difference
     Algorithm and Its Variations"); the path is then traced back through
-    the recorded rounds. Returns None once ``_DIFF_BUDGET`` is spent.
+    the recorded rounds. A snake ``(x, y, size)`` pairs ``a[x + t]`` with
+    ``b[y + t]`` for ``t < size``; snakes come left to right. Returns None
+    once ``_DIFF_BUDGET`` is spent.
     """
     if not a or not b:
         return []
@@ -120,7 +132,7 @@ def _myers_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]] | None:
             spent += x - start
             v[offset + k] = x
         rounds.append(array("q", v[offset - d : offset + d + 1 : 2]))
-    pairs: list[tuple[int, int]] = []
+    snakes: list[tuple[int, int, int]] = []
     x, y = n, m
     for d in range(len(rounds) - 1, 0, -1):
         prev = rounds[d - 1]
@@ -129,17 +141,11 @@ def _myers_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]] | None:
         prev_k = k + 1 if down else k - 1
         prev_x = prev[(prev_k + d - 1) // 2]
         snake_x = prev_x if down else prev_x + 1
-        while x > snake_x:
-            x -= 1
-            y -= 1
-            pairs.append((x, y))
+        snakes.append((snake_x, snake_x - k, x - snake_x))
         x, y = prev_x, prev_x - prev_k
-    while x > 0:
-        x -= 1
-        y -= 1
-        pairs.append((x, y))
-    pairs.reverse()
-    return pairs
+    snakes.append((0, y - x, x))
+    snakes.reverse()
+    return snakes
 
 
 def _common_token_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]]:
@@ -160,18 +166,16 @@ def _common_token_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]]:
     shared = set(a[head : n - tail]).intersection(b[head : m - tail])
     keep_a = [i for i in range(head, n - tail) if a[i] in shared]
     keep_b = [j for j in range(head, m - tail) if b[j] in shared]
-    middle = _myers_pairs([a[i] for i in keep_a], [b[j] for j in keep_b])
-    return (
-        [(k, k) for k in range(head)]
-        + [(keep_a[i], keep_b[j]) for i, j in middle or ()]
-        + [(n - tail + k, m - tail + k) for k in range(tail)]
-    )
+    snakes = _myers_snakes([a[i] for i in keep_a], [b[j] for j in keep_b]) or ()
+    middle = [zip(keep_a[x : x + size], keep_b[y : y + size]) for x, y, size in snakes]
+    suffix = zip(range(n - tail, n), range(m - tail, m))
+    return list(chain(zip(range(head), range(head)), *middle, suffix))
 
 
 def _gap_segments(
     stripped: str, original: str, s_lo: int, s_hi: int, o_lo: int, o_hi: int
 ) -> list[_Segment]:
-    """Segments covering an unmatched region between two token matches."""
+    """Segments covering an unmatched region between two runs of paired tokens."""
     gap_s = stripped[s_lo:s_hi]
     gap_o = original[o_lo:o_hi]
     if not gap_s:
@@ -212,34 +216,60 @@ def _merge_runs(pieces: list[_Segment]) -> tuple[_Segment, ...]:
     return tuple(segments)
 
 
+def _split_tokens(text: str) -> tuple[list[str], list[int], list[int], list[str]]:
+    """Tokens, their start and end offsets, and the whitespace after each.
+
+    One ``re.split`` and one running sum build every list in C.
+    """
+    parts = _SPACE_RE.split(text)  # token, whitespace, ..., token
+    bounds = list(accumulate(map(len, parts), initial=0))
+    # Only the first and the last token can be empty.
+    lo = 0 if parts[0] else 1
+    hi = len(parts) // 2 + (1 if parts[-1] else 0)
+    return parts[::2][lo:hi], bounds[::2][lo:hi], bounds[1::2][lo:hi], parts[1::2][lo:]
+
+
 def align_texts(stripped: str, original: str) -> AlignmentMap:
     """Align a tag-stripped completion against the original text.
 
     Tokens (maximal runs of non-whitespace) are paired by a longest common
     subsequence: common prefix and suffix first, then Myers' O(ND) diff of
     the tokens both sides share, within a fixed work budget past which the
-    middle stays unpaired. Unpaired gaps are refined to character offsets
-    with difflib up to a fixed length; longer gaps map proportionally.
-    Identical inputs give the identity map; an empty stripped text gives an
-    empty map.
+    middle stays unpaired. Consecutive pairs with equal whitespace between
+    them form a run whose text is equal on both sides, and each run maps as
+    one piece. The gaps between runs are refined to character offsets with
+    difflib up to a fixed length; longer gaps map proportionally. Identical
+    inputs give the identity map; an empty stripped text gives an empty map.
     """
     if stripped == original:
         return AlignmentMap(((0, len(stripped), 0, len(original)),) if stripped else ())
-    tokens_s = [m.span() for m in _TOKEN_RE.finditer(stripped)]
-    tokens_o = [m.span() for m in _TOKEN_RE.finditer(original)]
-    pairs = _common_token_pairs(
-        [stripped[lo:hi] for lo, hi in tokens_s], [original[lo:hi] for lo, hi in tokens_o]
-    )
+    words_s, starts_s, ends_s, spaces_s = _split_tokens(stripped)
+    words_o, starts_o, ends_o, spaces_o = _split_tokens(original)
+    pairs = _common_token_pairs(words_s, words_o)
+    # A run ends before pair n unless pair n continues the diagonal of pair
+    # n - 1 across equal whitespace.
+    breaks = [
+        n
+        for n, ((i, j), (next_i, next_j)) in enumerate(zip(pairs, pairs[1:]), 1)
+        if next_i != i + 1 or next_j != j + 1 or spaces_s[i] != spaces_o[j]
+    ]
     pieces: list[_Segment] = []
     prev_s = prev_o = 0
-    for i, j in pairs:
-        s_lo, s_hi = tokens_s[i]
-        o_lo, o_hi = tokens_o[j]
-        pieces += _gap_segments(stripped, original, prev_s, s_lo, prev_o, o_lo)
-        pieces.append((s_lo, s_hi, o_lo, o_hi))
-        prev_s, prev_o = s_hi, o_hi
+    for first, stop in zip([0, *breaks], [*breaks, len(pairs)] if pairs else []):
+        (i, j), (last_i, last_j) = pairs[first], pairs[stop - 1]
+        pieces += _gap_segments(stripped, original, prev_s, starts_s[i], prev_o, starts_o[j])
+        prev_s, prev_o = ends_s[last_i], ends_o[last_j]
+        pieces.append((starts_s[i], prev_s, starts_o[j], prev_o))
     pieces += _gap_segments(stripped, original, prev_s, len(stripped), prev_o, len(original))
     return AlignmentMap(_merge_runs(pieces))
+
+
+@lru_cache(maxsize=64)
+def _tag_pattern(labels: tuple[str, ...], delimiters: tuple[str, str] | None) -> re.Pattern:
+    """The tag pattern, longest alternative first; every tag is captured."""
+    alternatives = sorted(labels if delimiters is None else set(delimiters), key=len, reverse=True)
+    alternation = "|".join(map(re.escape, alternatives))
+    return re.compile(f"<(/?)({alternation})>" if delimiters is None else f"({alternation})")
 
 
 def _scan_tags(
@@ -253,28 +283,23 @@ def _scan_tags(
     a tag stays in the text untouched. With them, every delimiter marks the
     single label; where both delimiters start at the same place the longer
     is read, and equal delimiters alternate between opening and closing.
+    One ``split`` on the tag pattern gives the text between tags and the
+    captured tags, so the stripped text and the offsets are built in C.
     """
+    pattern = _tag_pattern(tuple(labels), delimiters)
+    parts = pattern.split(completion)
+    step = pattern.groups + 1
+    texts = parts[::step]
+    offsets = accumulate(map(len, texts[:-1]))
     if delimiters is None:
-        alternatives = "|".join(
-            re.escape(label) for label in sorted(labels, key=len, reverse=True)
-        )
-        pattern = re.compile(f"<(/?)({alternatives})>")
+        closes = map(bool, parts[1::step])
+        names = parts[2::step]
     else:
         open_, close = delimiters
-        (label,) = labels
-        pattern = re.compile(
-            "|".join(re.escape(d) for d in sorted({open_, close}, key=len, reverse=True))
-        )
-    events: list[tuple[bool, str, int]] = []
-    removed = 0
-    for match in pattern.finditer(completion):
-        if delimiters is None:
-            events.append((bool(match.group(1)), match.group(2), match.start() - removed))
-        else:
-            is_close = len(events) % 2 == 1 if open_ == close else match.group() == close
-            events.append((is_close, label, match.start() - removed))
-        removed += match.end() - match.start()
-    return pattern.sub("", completion), events
+        closes = cycle((False, True)) if open_ == close else map(close.__eq__, parts[1::step])
+        names = repeat(labels[0])
+    # zip stops with the offsets, one per tag.
+    return "".join(texts), list(zip(closes, names, offsets))
 
 
 def _pair_tag_events(

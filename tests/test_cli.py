@@ -76,6 +76,13 @@ class TestAnnotate:
         assert result.exit_code == 0
         assert json.loads(result.stdout.strip())["text"] == GOLDEN_TEXT
 
+    def test_json_line_nested_too_deep_reads_as_text(self, runner, workdir):
+        line = '{"text": ' + "[" * 100_000
+        (workdir / "mock.json").write_text(json.dumps({"replies": ["x"]}), encoding="utf-8")
+        result = runner.invoke(main, ["annotate", *args(workdir)], input=line + "\n")
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout.strip())["text"] == line
+
     def test_empty_input_empty_output(self, runner, workdir):
         result = runner.invoke(main, ["annotate", *args(workdir)], input="")
         assert result.exit_code == 0
@@ -405,6 +412,25 @@ class TestModelFlags:
         assert result.exit_code == 1, result.output
         assert result.stderr.startswith("error: ")
         assert f"{bad} is not UTF-8 text" in result.stderr
+
+
+    @pytest.mark.parametrize(
+        "flag", ["--schema", "--examples", "--templates", "--backend", "--predictions"]
+    )
+    def test_json_nested_too_deep_is_named(self, runner, workdir, flag):
+        deep = workdir / "deep.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        if flag == "--predictions":
+            command = ["evaluate", "--gold", str(DATA / "sample50_iob2.conll")]
+        else:
+            command = ["annotate", *args(workdir, "--input", str(workdir / "input.txt"))]
+        value = f"mock:{deep}" if flag == "--backend" else str(deep)
+        result = runner.invoke(main, [*command, flag, value])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ")
+        assert str(deep) in result.stderr
+        assert "Traceback" not in result.output
 
 
 class TestHelp:

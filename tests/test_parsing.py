@@ -180,6 +180,7 @@ class TestAlignTexts:
             "Analysts at Polar Logistics praised Sofia Marques yesterday .",
         )
     )
+    @example(("a  b c d", "a b c d"))
     def test_maps_every_offset_like_per_token_segments(self, texts):
         stripped, original = texts
         amap = align_texts(stripped, original)
@@ -189,7 +190,36 @@ class TestAlignTexts:
                 assert amap.map_offset(offset, prefer_end=prefer_end) == (
                     _reference_map_offset(reference, offset, prefer_end)
                 ), (offset, prefer_end)
-        assert len(amap.segments) <= len(reference)
+        # One piece per run of equal text merges like its per-token pieces.
+        assert amap.segments == parsing._merge_runs(reference)
+
+
+class TestSplitTokens:
+    """Tokens, offsets and whitespace from one split, against ``\\S+`` spans."""
+
+    @given(
+        st.text(
+            st.one_of(
+                st.characters(),
+                st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    @example("")
+    @example("   ")
+    @example(" a")
+    @example("a ")
+    @example(" \x1ca\x85b\xa0\u3000c\x1f ")
+    def test_tokens_are_the_non_whitespace_runs(self, text):
+        words, starts, ends, spaces = parsing._split_tokens(text)
+        spans = [m.span() for m in re.finditer(r"\S+", text)]
+        assert list(zip(starts, ends)) == spans
+        assert words == [text[lo:hi] for lo, hi in spans]
+        assert spaces[: len(words) - 1] == [
+            text[end:start] for end, start in zip(ends, starts[1:])
+        ]
 
 
 def _lcs_length(a, b):
@@ -557,6 +587,39 @@ class TestScanTags:
             completion, labels
         )
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(max_size=4),
+                st.sampled_from(["<a>", "</a>", "<a.b>", "</a.b>", "$$", "[", "[/", "@@", "##"]),
+            ),
+            max_size=20,
+        ).map("".join)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_reads_like_both_scans(self, completion):
+        labels = ("a", "a.b")
+        assert parsing._scan_tags(completion, labels, None) == _scan_label_tags(
+            completion, labels
+        )
+        for open_, close in DELIMITER_PAIRS:
+            assert parsing._scan_tags(completion, ("x",), (open_, close)) == (
+                _scan_delimiters(completion, open_, close, "x")
+            )
+
+
+def _million_one_char_tokens():
+    # A tag pair every ten tokens; the echo has a typo every 100,000 tokens
+    # and a doubled space every 1,000, so the pairs form about 1,000 runs.
+    rng = random.Random(11)
+    tokens = [rng.choice("abcdefghij") for _ in range(1_000_000)]
+    echo = [
+        ("  " if i % 1_000 == 1 else " ")
+        + ("<x>{}</x>" if i % 10 == 0 else "{}").format("z" if i % 100_000 == 500 else tok)
+        for i, tok in enumerate(tokens)
+    ]
+    return "".join(echo)[1:], " ".join(tokens)
+
 
 ADVERSARIAL_ECHOES = {
     "no shared tokens": lambda: (
@@ -569,6 +632,7 @@ ADVERSARIAL_ECHOES = {
         "<x>" + "q" * 100_000 + "</x>",
         "q" * 99_999 + "r",
     ),
+    "1,000,000 one-character tokens": _million_one_char_tokens,
 }
 
 

@@ -9,16 +9,12 @@ timeouts, and connection failures surface immediately.
 from __future__ import annotations
 
 import functools
-import http.client
 import json
 import math
 import os
 import random
-import ssl
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,15 +130,18 @@ def build_request_body(
     }
 
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    # Following a redirect would resend the API key to wherever it points.
-    def redirect_request(self, *args: Any) -> None:
-        return None
-
-
 @functools.cache
-def _opener() -> urllib.request.OpenerDirector:
-    """Built at the first request, which reads the proxy variables and the CA store."""
+def _opener():
+    """Built at the first request, which loads the HTTP stack and reads the
+    proxy variables and the CA store."""
+    import ssl
+    import urllib.request
+
+    class _NoRedirect(urllib.request.HTTPRedirectHandler):
+        # Following a redirect would resend the API key to wherever it points.
+        def redirect_request(self, *args: Any) -> None:
+            return None
+
     context = ssl.create_default_context()
     return urllib.request.build_opener(
         _NoRedirect, urllib.request.HTTPSHandler(context=context)
@@ -156,6 +155,10 @@ class HttpBackend:
     """
 
     def complete(self, conversation: Sequence[_Message], config: BackendConfig) -> str:
+        import http.client
+        import urllib.error
+        import urllib.request
+
         url = config.base_url.rstrip("/") + "/chat/completions"
         headers = {"Content-Type": "application/json"}
         api_key = config.resolve_api_key()
@@ -170,6 +173,7 @@ class HttpBackend:
                 response = exc
             with response:
                 status, payload = response.status, response.read()
+                retry_after = response.headers.get("Retry-After")
         except (OSError, http.client.HTTPException) as exc:
             if isinstance(getattr(exc, "reason", exc), TimeoutError):
                 raise BackendTimeoutError(f"no answer within {config.timeout}s") from exc
@@ -179,7 +183,9 @@ class HttpBackend:
         if status in (401, 403):
             raise AuthenticationError(f"backend rejected credentials (HTTP {status})")
         if status == 429:
-            raise RateLimitError("backend rate limit hit (HTTP 429)")
+            raise RateLimitError(
+                "backend rate limit hit (HTTP 429)", _retry_after_seconds(retry_after)
+            )
         if status >= 500:
             raise ServerError(f"backend server error (HTTP {status})")
         if status != 200:
@@ -188,7 +194,7 @@ class HttpBackend:
             )
         try:
             data = json.loads(payload)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedResponseError(f"response body is not JSON: {exc}") from exc
         try:
             content = data["choices"][0]["message"]["content"]
@@ -199,6 +205,16 @@ class HttpBackend:
         if not isinstance(content, str):
             raise MalformedResponseError("completion content is not a string")
         return content
+
+
+def _retry_after_seconds(value: str | None) -> float | None:
+    """A numeric Retry-After header in seconds; None if absent, a date,
+    negative or not finite."""
+    try:
+        seconds = float(value or "")
+    except ValueError:
+        return None
+    return seconds if 0 <= seconds < math.inf else None
 
 
 # A matcher is a substring required in the last user message, or a callable
@@ -313,7 +329,8 @@ def chat_complete(
     Wraps ``backend`` (the live HTTP client by default) with the retry
     policy: rate-limit and server errors are retried up to
     ``config.max_retries`` times with exponential backoff, everything else
-    propagates immediately.
+    propagates immediately. A rate limit that names a longer wait
+    (``RateLimitError.retry_after``) is waited out, up to the backoff cap.
     """
     validate_conversation(conversation)
     if backend is None:
@@ -327,5 +344,9 @@ def chat_complete(
                 raise RetriesExhaustedError(
                     f"gave up after {attempt + 1} attempts: {exc}"
                 ) from exc
-            sleep(backoff_delay_ms(attempt, config.initial_backoff_ms, rng) / 1000.0)
+            delay_ms = backoff_delay_ms(attempt, config.initial_backoff_ms, rng)
+            retry_after = getattr(exc, "retry_after", None)
+            if retry_after is not None:
+                delay_ms = min(max(delay_ms, retry_after * 1000.0), MAX_BACKOFF_MS)
+            sleep(delay_ms / 1000.0)
             attempt += 1

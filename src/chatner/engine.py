@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import inspect
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -361,6 +360,8 @@ class NerModel:
 
         if workers == 1 or len(items) == 1:
             return [run(text) for text in items]
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(workers, len(items))) as executor:
             return list(executor.map(run, items))
 

@@ -35,7 +35,12 @@ class AuthenticationError(BackendError):
 
 
 class RateLimitError(BackendError):
-    """The backend asked us to slow down (HTTP 429). Retried with backoff."""
+    """The backend asked us to slow down (HTTP 429). Retried with backoff,
+    or after ``retry_after`` seconds if the backend named a longer wait."""
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class ServerError(BackendError):

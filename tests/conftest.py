@@ -99,7 +99,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         missing = 0
         if entry[0] == "truncated":
             entry, missing = (200, entry[1]), 100
-        status, payload = entry
+        status, payload, *extra = entry
         raw = payload if isinstance(payload, str) else json.dumps(payload)
         data = raw.encode("utf-8")
         try:
@@ -108,6 +108,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(data) + missing))
             if 300 <= status < 400:
                 self.send_header("Location", "/v1/moved")
+            for name, value in (extra[0] if extra else {}).items():
+                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(data)
         except ConnectionError:  # the client timed out and hung up first
@@ -121,7 +123,8 @@ class ScriptedServer:
     """A local chat-completions endpoint driven by a per-test script.
 
     ``script`` is a list of (status, payload) entries consumed in request
-    order (the last entry repeats); a 3xx status redirects to ``/v1/moved``.
+    order (the last entry repeats); a third item, a dict, adds response
+    headers, and a 3xx status redirects to ``/v1/moved``.
     ``("sleep", seconds)`` delays before a plain 200, ``("close", None)``
     hangs up without replying, and ``("truncated", payload)`` sends a 200
     whose Content-Length promises 100 bytes more than ``payload``, then

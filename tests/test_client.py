@@ -70,6 +70,43 @@ except BackendError as exc:
     print(type(exc).__name__)
 """
 
+# Prints which modules of the HTTP stack and the thread pool are loaded, in
+# a fresh interpreter, before and after code that never opens a socket.
+STACK_PROBE = """
+import contextlib, io, sys
+
+def loaded():
+    print(sorted(set(sys.modules) & {stack!r}))
+"""
+HTTP_STACK = {
+    "http.client", "ssl", "urllib.request", "email.parser", "concurrent.futures",
+    "requests", "urllib3",
+}
+
+# Two threads send the first request of a fresh process at the same moment,
+# so both load the HTTP stack and build the opener at once.
+FIRST_REQUESTS_PROBE = """
+import threading
+from chatner import ChatMessage
+from chatner.client import BackendConfig, HttpBackend
+
+convo = (ChatMessage("system", "sys"), ChatMessage("user", "hi"))
+config = BackendConfig(base_url={base_url!r}, api_key="k", timeout=10)
+start = threading.Barrier(2)
+replies = []
+
+def send():
+    start.wait(timeout=10)
+    replies.append(HttpBackend().complete(convo, config))
+
+threads = [threading.Thread(target=send) for _ in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=30)
+print(sorted(replies))
+"""
+
 
 def no_sleep(_seconds: float) -> None:
     pass
@@ -230,6 +267,29 @@ class TestHttpBackend:
         with pytest.raises(MalformedResponseError):
             HttpBackend().complete(CONVO, self.config(http_server))
 
+    def test_deep_json_body_is_malformed(self, http_server):
+        http_server.script = [(200, "[" * 100_000)]
+        with pytest.raises(MalformedResponseError):
+            HttpBackend().complete(CONVO, self.config(http_server))
+
+    @pytest.mark.parametrize(
+        "headers, retry_after",
+        [
+            ({}, None),
+            ({"Retry-After": "7"}, 7.0),
+            ({"Retry-After": "0.5"}, 0.5),
+            ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, None),
+            ({"Retry-After": "-1"}, None),
+            ({"Retry-After": "nan"}, None),
+        ],
+        ids=["missing", "integer", "fraction", "date", "negative", "nan"],
+    )
+    def test_retry_after_read_into_rate_limit_error(self, http_server, headers, retry_after):
+        http_server.script = [(429, {"error": "slow down"}, headers)]
+        with pytest.raises(RateLimitError) as info:
+            HttpBackend().complete(CONVO, self.config(http_server))
+        assert info.value.retry_after == retry_after
+
     def test_timeout(self, http_server):
         http_server.script = [("sleep", 0.5)]
         with pytest.raises(BackendTimeoutError):
@@ -244,11 +304,13 @@ class TestHttpBackend:
 BROKEN_REPLIES = [
     ("close", None),
     ("truncated", {"choices": [{"message": {"content": "cut"}}]}),
+    (200, "[" * 100_000),  # too deep for json.loads: a RecursionError, not a ValueError
 ]
 
 
 class TestTransportContract:
-    """Failures below the HTTP status line stay typed, per document."""
+    """Failures below the HTTP status line, and bodies that cannot be decoded,
+    stay typed, per document."""
 
     @pytest.mark.parametrize("entry", BROKEN_REPLIES)
     def test_broken_reply_is_a_backend_error(self, http_server, entry):
@@ -300,12 +362,48 @@ class TestTransportContract:
         assert out == "BackendConnectionError"
         assert http_server.requests == []
 
-    def test_cli_import_loads_no_http_library(self):
-        out = run_python(
-            "import sys, chatner.cli; "
-            "print(sorted({m.split('.')[0] for m in sys.modules} & {'requests', 'urllib3'}))"
+    def test_cli_import_loads_no_http_library(self, tmp_path):
+        from chatner import document_to_record, read_conll_file
+
+        gold = Path(__file__).parent / "data" / "sample50_iob2.conll"
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text(
+            "".join(
+                json.dumps(document_to_record(doc)) + "\n" for doc in read_conll_file(gold)
+            ),
+            encoding="utf-8",
         )
-        assert out == "[]"
+        probe = STACK_PROBE.format(stack=HTTP_STACK)
+        library = run_python(
+            probe
+            + "import chatner\n"
+            "loaded()\n"
+            "model = chatner.ZeroShotNer(\n"
+            "    backend=chatner.MockBackend(matchers=[('', '<person>Ada</person> wrote it')]),\n"
+            "    max_concurrency=1,\n"
+            ").contextualize({'person': 'A name.'})\n"
+            "assert all(r.ok for r in model.predict(['Ada wrote it'] * 3))\n"
+            "loaded()\n"
+        )
+        assert library.splitlines() == ["[]", "[]"]
+        command = run_python(
+            probe
+            + "import chatner.cli\n"
+            "loaded()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    chatner.cli.main.main(\n"
+            f"        args=['evaluate', '--gold', {str(gold)!r},\n"
+            f"              '--predictions', {str(predictions)!r}],\n"
+            "        standalone_mode=False,\n"
+            "    )\n"
+            "loaded()\n"
+        )
+        assert command.splitlines() == ["[]", "[]"]
+
+    def test_concurrent_first_requests_in_a_fresh_process(self, http_server):
+        out = run_python(FIRST_REQUESTS_PROBE.format(base_url=http_server.base_url))
+        assert out == "['ok', 'ok']"
+        assert len(http_server.requests) == 2
 
 
 class TestMockBackend:
@@ -442,6 +540,37 @@ class TestChatComplete:
         assert len(backend.calls) == 3
         assert len(sleeps) == 2
         assert sleeps == sorted(sleeps)
+
+    @pytest.mark.parametrize(
+        "retry_after, expected_s",
+        [(None, None), (0.0, None), (7.0, 7.0), (100.0, MAX_BACKOFF_MS / 1000)],
+    )
+    def test_sleeps_the_longer_of_backoff_and_retry_after(self, retry_after, expected_s):
+        backend = MockBackend(replies=[RateLimitError("slow down", retry_after), "ok"])
+        sleeps: list[float] = []
+        out = chat_complete(
+            CONVO,
+            BackendConfig(initial_backoff_ms=500.0),
+            backend,
+            sleep=sleeps.append,
+            rng=random.Random(0),
+        )
+        assert out == "ok"
+        backoff_s = backoff_delay_ms(0, 500.0, random.Random(0)) / 1000
+        assert sleeps == [expected_s if expected_s is not None else backoff_s]
+
+    def test_retry_after_header_is_waited_out(self, http_server):
+        http_server.script = [
+            (429, {"error": "slow down"}, {"Retry-After": "2"}),
+            http_server.reply("made it"),
+        ]
+        sleeps: list[float] = []
+        config = BackendConfig(
+            base_url=http_server.base_url, api_key="k", initial_backoff_ms=1.0
+        )
+        out = chat_complete(CONVO, config, HttpBackend(), sleep=sleeps.append)
+        assert out == "made it"
+        assert sleeps == [2.0]
 
     def test_retries_on_server_error(self):
         backend = MockBackend(replies=[ServerError("boom"), "fine"])

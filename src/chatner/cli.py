@@ -7,7 +7,6 @@ unusable schema, unreachable backend).
 
 from __future__ import annotations
 
-import contextlib
 import importlib
 import inspect
 import json
@@ -19,6 +18,7 @@ import click
 from . import __version__
 from .client import MockBackend
 from .domain import ANSWER_SHAPES, EntitySchema, document_from_record, document_to_record
+from .domain import read_utf8
 from .engine import FewShotNer, NerModel, ZeroShotNer
 from .errors import (
     AuthenticationError,
@@ -72,38 +72,23 @@ def _resolve_backend(spec: str | None):
     raise ConfigError(f"unknown backend {spec!r}; expected mock:<script-file>")
 
 
-@contextlib.contextmanager
-def _decoding(source: str):
-    """Report input that is not UTF-8 as a ConfigError naming its source."""
+def _read_records(path: str, what: str):
+    """The documents of a JSON list of records, or of one record per line."""
+    content = read_utf8(path, f"{what} file", ConfigError)
     try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{source} is not UTF-8 text ({exc})") from exc
-
-
-def _read_examples(path: str):
-    with _decoding(path):
-        content = Path(path).read_text(encoding="utf-8")
-    stripped = content.lstrip()
-    try:
-        if stripped.startswith("["):
+        if content.lstrip().startswith("["):
             records = json.loads(content)
         else:
-            records = [json.loads(line) for line in content.splitlines() if line.strip()]
+            records = (json.loads(line) for line in content.splitlines() if line.strip())
         return [document_from_record(record) for record in records]
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise ConfigError(f"cannot read examples from {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} from {path}: {exc}") from exc
 
 
 def _read_input_texts(path: str | None) -> list[str]:
     """One document per line; a line may also be a JSON record with "text"."""
-    with _decoding(path or "standard input"):
-        if path is None:
-            lines = sys.stdin.read().splitlines()
-        else:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
     texts = []
-    for line in lines:
+    for line in read_utf8(path, "input file", ConfigError).splitlines():
         if not line.strip():
             continue
         if line.lstrip().startswith("{"):
@@ -180,8 +165,10 @@ def _build_model(
     backend_spec: str | None,
     **params,
 ) -> NerModel:
+    if (params["pos_mode"] == "hook") != (pos_hook is not None):
+        raise ConfigError("--pos hook and --pos-hook module:function need each other")
     schema = EntitySchema.from_file(schema_path)
-    examples = _read_examples(examples_path) if examples_path else None
+    examples = _read_records(examples_path, "examples") if examples_path else None
     cls = FewShotNer if examples else ZeroShotNer
     for name, short in _SHORT.items():
         params[name] = short[params[name]]
@@ -277,7 +264,8 @@ def dump_prompt(text, input_path, **model_flags) -> None:
 @click.option("--gold", "gold_path", required=True,
               help="Gold-standard CoNLL file (token-per-line, NER tag last).")
 @click.option("--predictions", "predictions_path", default=None,
-              help="JSON-lines document records; omitted means annotate first.")
+              help="JSON (list or lines) of document records; omitted means "
+                   "annotate first.")
 @click.option("--matching", type=click.Choice(["relaxed", "strict"]),
               default="relaxed", show_default=True)
 @click.option("--output", "output_path", default=None,
@@ -286,21 +274,9 @@ def evaluate(gold_path, predictions_path, matching, output_path, **model_flags):
     """Score predictions against a gold CoNLL file and print the table."""
     results = None
     try:
-        with _decoding(gold_path):
-            gold = read_conll_file(gold_path)
+        gold = read_conll_file(gold_path)
         if predictions_path is not None:
-            with _decoding(predictions_path):
-                content = Path(predictions_path).read_text(encoding="utf-8")
-            try:
-                predicted = [
-                    document_from_record(json.loads(line))
-                    for line in content.splitlines()
-                    if line.strip()
-                ]
-            except (ValueError, RecursionError) as exc:
-                raise ConfigError(
-                    f"cannot read predictions from {predictions_path}: {exc}"
-                ) from exc
+            predicted = _read_records(predictions_path, "predictions")
         else:
             if model_flags.get("schema_path") is None:
                 raise ConfigError(

@@ -57,7 +57,10 @@ class BackendConfig:
         if not str(self.base_url).lower().startswith(("http://", "https://")):
             raise ConfigError("base_url must be an http:// or https:// URL")
         for name in ("temperature", "timeout", "initial_backoff_ms"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
         for name in ("max_tokens", "max_retries"):
             if type(getattr(self, name)) is not int:
@@ -319,22 +322,20 @@ def backoff_delay_ms(
 def chat_complete(
     conversation: Sequence[_Message],
     config: BackendConfig,
-    backend: CompletionBackend | None = None,
+    backend: CompletionBackend,
     *,
     sleep: Callable[[float], None] = time.sleep,
     rng: random.Random | None = None,
 ) -> str:
-    """Submit a conversation and return the assistant reply.
+    """Submit a conversation through ``backend`` and return the assistant reply.
 
-    Wraps ``backend`` (the live HTTP client by default) with the retry
+    Wraps ``backend``, any :class:`CompletionBackend`, with the retry
     policy: rate-limit and server errors are retried up to
     ``config.max_retries`` times with exponential backoff, everything else
     propagates immediately. A rate limit that names a longer wait
     (``RateLimitError.retry_after``) is waited out, up to the backoff cap.
     """
     validate_conversation(conversation)
-    if backend is None:
-        backend = HttpBackend()
     attempt = 0
     while True:
         try:

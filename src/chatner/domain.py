@@ -7,6 +7,7 @@ and spans are half-open ``[start, end)`` intervals.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -108,19 +109,17 @@ def first_overlap(
 class EntitySchema(Mapping):
     """Ordered mapping from entity label to a natural-language description.
 
-    The order of entries is meaningful: it fixes the order labels are
-    enumerated in prompts and the order of per-entity turns.
+    Built only from a mapping, such as a dict. The order of entries is
+    meaningful: it fixes the order labels are enumerated in prompts and the
+    order of per-entity turns.
     """
 
-    def __init__(self, entries: Mapping[str, str] | Iterable[tuple[str, str]]):
-        if isinstance(entries, Mapping):
-            pairs = list(entries.items())
-        else:
-            pairs = [tuple(pair) for pair in entries]
-        if not pairs:
+    def __init__(self, entries: Mapping[str, str]):
+        if not isinstance(entries, Mapping):
+            raise ConfigError(f"an entity schema must be a mapping, got {type(entries).__name__}")
+        if not entries:
             raise ConfigError("an entity schema needs at least one entry")
-        seen: set[str] = set()
-        for label, description in pairs:
+        for label, description in entries.items():
             if not isinstance(label, str) or not label:
                 raise ConfigError(f"entity labels must be non-empty strings, got {label!r}")
             if not isinstance(description, str):
@@ -130,10 +129,7 @@ class EntitySchema(Mapping):
                 raise ConfigError(
                     f"label {label!r} contains reserved character {bad[0]!r}"
                 )
-            if label in seen:
-                raise ConfigError(f"duplicate label {label!r}")
-            seen.add(label)
-        self._entries: dict[str, str] = dict(pairs)
+        self._entries: dict[str, str] = dict(entries)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -157,18 +153,29 @@ class EntitySchema(Mapping):
         return cls(read_json_object(path, "schema file", ConfigError))
 
 
+def read_utf8(path: str | Path | None, what: str, error: type[Exception]) -> str:
+    """The UTF-8 text of the file ``path`` (standard input when None), minus
+    a leading byte-order mark. Other bytes raise ``error`` with a message
+    naming the file as ``what``; OSError passes through."""
+    if path is None:
+        source, data = "standard input", sys.stdin.buffer.read()
+    else:
+        source, data = f"{what} {path}", Path(path).read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise error(f"{source} is not UTF-8 text ({exc})") from exc
+
+
 def read_json_object(path: str | Path, what: str, error: type[Exception]) -> dict:
-    """The JSON object held in the UTF-8 file ``path``.
+    """The JSON object held in the UTF-8 file ``path`` (see :func:`read_utf8`).
 
     Content that is not UTF-8, not JSON, nested too deep to decode or not
     an object raises ``error`` with a message naming the file as ``what``;
     OSError passes through.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except UnicodeDecodeError as exc:
-        raise error(f"{what} {path} is not UTF-8 text ({exc})") from exc
+        data = json.loads(read_utf8(path, what, error))
     except (json.JSONDecodeError, RecursionError) as exc:  # too deep to decode
         raise error(f"{what} {path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):

@@ -50,14 +50,12 @@ class PredictionResult:
 def _resolve_templates(
     templates: PromptTemplateSet | Mapping[str, str] | str | Path | None,
 ) -> PromptTemplateSet:
-    if templates is None:
-        return PromptTemplateSet()
     if isinstance(templates, PromptTemplateSet):
         return templates
     if isinstance(templates, (str, Path)):
         return PromptTemplateSet.from_file(templates)
-    if isinstance(templates, Mapping):
-        return PromptTemplateSet.with_overrides(templates)
+    if templates is None or isinstance(templates, Mapping):
+        return PromptTemplateSet(templates or {})
     raise ConfigError(
         "templates must be a PromptTemplateSet, a mapping of overrides, "
         f"or a path, got {type(templates).__name__}"

@@ -73,8 +73,12 @@ def read_conll(stream: Iterable[str] | str) -> list[AnnotatedDocument]:
 
 
 def read_conll_file(path: str | Path) -> list[AnnotatedDocument]:
-    with open(path, encoding="utf-8") as handle:
-        return list(_read_documents(handle))
+    """Read a UTF-8 CoNLL file, skipping a byte-order mark; other bytes raise ConllError."""
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            return list(_read_documents(handle))
+    except UnicodeDecodeError as exc:
+        raise ConllError(f"CoNLL file {path} is not UTF-8 text ({exc})") from exc
 
 
 # -- matching ---------------------------------------------------------------
@@ -199,9 +203,8 @@ class EvalReport:
             "micro": entry(self.micro),
         }
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), ensure_ascii=False, **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
 
     def to_table(self) -> str:
         """Aligned plain-text table, percentages to one decimal, micro last."""

@@ -59,7 +59,7 @@ def _turn_shape(schema: EntitySchema, config: NerConfig, templates: PromptTempla
 def compose_system_prompt(
     schema: EntitySchema,
     config: NerConfig,
-    templates: PromptTemplateSet | None = None,
+    templates: PromptTemplateSet,
 ) -> ChatMessage:
     """Build the system message for a run.
 
@@ -67,7 +67,6 @@ def compose_system_prompt(
     order and states the answer-shape contract the parser expects. Pure:
     identical inputs produce byte-identical output.
     """
-    templates = templates or PromptTemplateSet()
     entity_list = "\n".join(
         templates.render("entity_item", label=label, description=description)
         for label, description in schema.items()
@@ -167,7 +166,7 @@ def render_examples(
     examples: Sequence[AnnotatedDocument],
     schema: EntitySchema,
     config: NerConfig,
-    templates: PromptTemplateSet | None = None,
+    templates: PromptTemplateSet,
 ) -> tuple[tuple[ChatMessage, ChatMessage], ...]:
     """Render few-shot demonstrations as user/assistant message pairs.
 
@@ -183,7 +182,6 @@ def render_examples(
     prompting accepts one span under several labels. Every failure is a
     ConfigError naming the example.
     """
-    templates = templates or PromptTemplateSet()
     pairs: list[tuple[ChatMessage, ChatMessage]] = []
     for position, example in enumerate(examples):
         if not isinstance(example, AnnotatedDocument):
@@ -227,7 +225,7 @@ def plan_turns(
     text: str,
     schema: EntitySchema,
     config: NerConfig,
-    templates: PromptTemplateSet | None = None,
+    templates: PromptTemplateSet,
 ) -> tuple[Turn, ...]:
     """The user turns of one document's exchange, in the order they are sent.
 
@@ -238,7 +236,6 @@ def plan_turns(
     replies, so :meth:`NerModel.predict_one` and
     :meth:`NerModel.plan_conversation` share this plan.
     """
-    templates = templates or PromptTemplateSet()
     if config.method == "single_turn":
         return (Turn(ChatMessage("user", templates.render("user_text", text=text)), None),)
     turns = []

@@ -131,15 +131,14 @@ class _StrictBindings(dict):
 
 @dataclass(frozen=True)
 class PromptTemplateSet:
-    """A complete, validated set of prompt templates (by default, English)."""
+    """The English prompt templates, with the overrides in ``templates`` laid
+    over them by name. Names and placeholders are checked here; afterwards
+    ``templates`` holds the full set."""
 
-    templates: Mapping[str, str] = field(default_factory=lambda: dict(_ENGLISH))
+    templates: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "templates", dict(self.templates))
-        missing = set(TEMPLATE_PLACEHOLDERS) - set(self.templates)
-        if missing:
-            raise TemplateError(f"missing templates: {sorted(missing)}")
+        object.__setattr__(self, "templates", {**_ENGLISH, **self.templates})
         for name, template in self.templates.items():
             if name not in TEMPLATE_PLACEHOLDERS:
                 raise TemplateError(f"unknown template name {name!r}")
@@ -165,11 +164,6 @@ class PromptTemplateSet:
             raise TemplateError(f"template {name!r} is malformed: {exc}") from exc
 
     @classmethod
-    def with_overrides(cls, overrides: Mapping[str, str]) -> "PromptTemplateSet":
-        """Overlay ``overrides`` on the built-in English templates."""
-        return cls({**_ENGLISH, **overrides})
-
-    @classmethod
     def from_file(cls, path: str | Path) -> "PromptTemplateSet":
         """Load overrides from a flat JSON object of name -> template string."""
-        return cls.with_overrides(read_json_object(path, "template file", TemplateError))
+        return cls(read_json_object(path, "template file", TemplateError))

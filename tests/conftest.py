@@ -137,7 +137,10 @@ class ScriptedServer:
         self._httpd.script = [(200, {"choices": [{"message": {"content": "ok"}}]})]
         self._httpd.requests = []
         self._httpd.lock = threading.Lock()
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # A short poll keeps shutdown() from waiting out the default 0.5 s.
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self._thread.start()
 
     @property

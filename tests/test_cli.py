@@ -20,6 +20,11 @@ GOLDEN_COMPLETION = (
 DATA = Path(__file__).parent / "data"
 
 
+def tag_tokens(text):
+    """A part-of-speech hook for ``--pos-hook``: every token is tagged X."""
+    return [(token, "X") for token in text.split()]
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -287,6 +292,26 @@ class TestEvaluate:
         assert result.exit_code == 1
         assert "--schema" in result.stderr
 
+    def test_predictions_as_json_list_score_as_json_lines(self, runner, workdir):
+        from chatner import document_to_record, read_conll_file
+
+        gold = DATA / "sample50_iob2.conll"
+        docs = read_conll_file(gold)
+        # Every second document loses its annotations, so the score is not perfect.
+        docs = [doc if i % 2 else type(doc)(doc.text) for i, doc in enumerate(docs)]
+        lines = self.write_predictions(workdir, docs)
+        listed = workdir / "preds.json"
+        listed.write_text(
+            json.dumps([document_to_record(doc) for doc in docs], indent=1), encoding="utf-8"
+        )
+        outputs = [
+            runner.invoke(main, ["evaluate", "--gold", str(gold), "--predictions", str(path)])
+            for path in (lines, listed)
+        ]
+        assert [result.exit_code for result in outputs] == [0, 0], outputs[1].output
+        assert outputs[0].stdout == outputs[1].stdout
+        assert outputs[0].stdout.split()[-1] != "0"  # micro fn: gold mentions were missed
+
     def test_strict_matching_flag(self, runner, workdir):
         from chatner import read_conll_file
 
@@ -394,6 +419,29 @@ class TestModelFlags:
         assert result.exit_code == 0, result.output
         assert built[0].get_params() == ZeroShotNer().get_params()
 
+    def test_pos_hook_tags_the_query(self, runner, workdir):
+        result = runner.invoke(
+            main,
+            ["dump-prompt", "--schema", str(workdir / "schema.json"), "--text", "Ada wrote",
+             "--pos", "hook", "--pos-hook", f"{__name__}:tag_tokens"],
+        )
+        assert result.exit_code == 0, result.output
+        assert "Part-of-speech tags:\nAda/X wrote/X" in result.stdout
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--pos-hook", f"{__name__}:tag_tokens"], ["--pos", "hook"]],
+        ids=["hook without --pos hook", "--pos hook without hook"],
+    )
+    def test_pos_hook_flags_need_each_other(self, runner, workdir, flags):
+        result = runner.invoke(
+            main, ["dump-prompt", "--schema", str(workdir / "schema.json"), "--text", "Ada",
+                   *flags],
+        )
+        assert result.exit_code == 1, result.output
+        assert result.stderr.startswith("error: ")
+        assert "--pos hook" in result.stderr and "--pos-hook" in result.stderr
+
     @pytest.mark.parametrize(
         "flag",
         ["--input", "--schema", "--examples", "--templates", "--backend",
@@ -412,6 +460,54 @@ class TestModelFlags:
         assert result.exit_code == 1, result.output
         assert result.stderr.startswith("error: ")
         assert f"{bad} is not UTF-8 text" in result.stderr
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--input", "--schema", "--examples", "--templates", "--backend",
+         "--gold", "--predictions", "standard input"],
+    )
+    def test_file_with_byte_order_mark_reads_as_without(self, runner, workdir, flag):
+        from chatner import document_to_record, read_conll_file
+
+        gold = DATA / "sample50_iob2.conll"
+        (workdir / "preds.jsonl").write_text(
+            "".join(json.dumps(document_to_record(d)) + "\n" for d in read_conll_file(gold)),
+            encoding="utf-8",
+        )
+        (workdir / "examples.jsonl").write_text(
+            json.dumps({"text": "Ana lives here",
+                        "annotations": [{"start": 0, "end": 3, "label": "person"}]}) + "\n",
+            encoding="utf-8",
+        )
+        (workdir / "templates.json").write_text(
+            json.dumps({"user_text": "Texto:\n{text}"}), encoding="utf-8"
+        )
+        if flag in ("--gold", "--predictions"):
+            command, names = "evaluate", {"--gold": gold, "--predictions": "preds.jsonl"}
+        else:
+            command, names = "annotate", {
+                "--schema": "schema.json", "--backend": "mock.json",
+                "--examples": "examples.jsonl", "--templates": "templates.json",
+                "--input": "input.txt",
+            }
+        files = {name: workdir / file for name, file in names.items()}
+        stdin = files.pop("--input").read_bytes() if flag == "standard input" else b""
+
+        def run(prefix: bytes) -> str:
+            paths = dict(files)
+            if flag in paths:
+                paths[flag] = workdir / f"copy-{files[flag].name}"
+                paths[flag].write_bytes(prefix + files[flag].read_bytes())
+            argv = [command]
+            for name, path in paths.items():
+                argv += [name, f"mock:{path}" if name == "--backend" else str(path)]
+            result = runner.invoke(main, argv, input=prefix + stdin)
+            assert result.exit_code == 0, result.output
+            return result.stdout
+
+        plain = run(b"")
+        assert f'"text": "{GOLDEN_TEXT}"' in plain or plain.splitlines()[-1].startswith("micro")
+        assert run(b"\xef\xbb\xbf") == plain
 
 
     @pytest.mark.parametrize(

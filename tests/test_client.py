@@ -161,6 +161,14 @@ class TestBackendConfig:
         with pytest.raises(ConfigError):
             BackendConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "value", ["0.5", None, True, [1.0]], ids=["str", "None", "bool", "list"]
+    )
+    @pytest.mark.parametrize("name", ["temperature", "timeout", "initial_backoff_ms"])
+    def test_non_number_rejected_by_name(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be a number, got "):
+            BackendConfig(**{name: value})
+
     def test_api_key_falls_back_to_environment(self, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "from-env")
         assert BackendConfig().resolve_api_key() == "from-env"

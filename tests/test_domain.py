@@ -195,8 +195,14 @@ class TestEntitySchema:
             EntitySchema({label: "desc"})
 
     def test_duplicate_labels_rejected(self):
-        with pytest.raises(ConfigError):
+        # A mapping cannot repeat a label; the list of pairs that could is refused.
+        with pytest.raises(ConfigError, match="must be a mapping, got list"):
             EntitySchema([("a", "one"), ("a", "two")])
+
+    @pytest.mark.parametrize("entries", [["ab"], [("a",)], "ab"])
+    def test_non_mapping_rejected(self, entries):
+        with pytest.raises(ConfigError, match="must be a mapping"):
+            EntitySchema(entries)
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "schema.json"

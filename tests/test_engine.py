@@ -183,6 +183,13 @@ class TestContextualize:
         with pytest.raises(ConfigError, match="max_concurrency must be an int >= 1"):
             NerModel(max_concurrency=workers).contextualize(SCHEMA)
 
+    @pytest.mark.parametrize(
+        "params", [{"temperature": "0.5"}, {"timeout": None}], ids=["str", "None"]
+    )
+    def test_non_number_connection_setting_is_a_config_error(self, params):
+        with pytest.raises(ConfigError, match=f"{next(iter(params))} must be a number"):
+            ZeroShotNer(**params).contextualize(SCHEMA)
+
     def test_pos_hook_mode_requires_tagger(self):
         with pytest.raises(ConfigError, match="pos_tagger"):
             NerModel(pos_mode="via_hook").contextualize(SCHEMA)

@@ -90,6 +90,18 @@ class TestReadConll:
         docs = read_conll("to O\nPeru B-LOC\n")
         assert docs[0].annotations == {Annotation(3, 7, "LOC")}
 
+    def test_file_with_byte_order_mark_reads_as_without(self, tmp_path):
+        content = (DATA / "sample50_iob2.conll").read_text(encoding="utf-8")
+        path = tmp_path / "bom.conll"
+        path.write_bytes(b"\xef\xbb\xbf" + content.encode("utf-8"))
+        assert read_conll_file(path) == read_conll(content)
+
+    def test_file_that_is_not_utf8_is_a_conll_error(self, tmp_path):
+        path = tmp_path / "latin1.conll"
+        path.write_bytes("Bogot\xe1 B-LOC\n".encode("latin-1"))
+        with pytest.raises(ConllError, match=f"CoNLL file {path} is not UTF-8 text"):
+            read_conll_file(path)
+
     def test_bundled_variants_parse_identically(self):
         iob2 = read_conll_file(DATA / "sample50_iob2.conll")
         iob1 = read_conll_file(DATA / "sample50_iob1.conll")

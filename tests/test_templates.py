@@ -51,21 +51,15 @@ class TestDefaults:
 class TestStrictness:
     def test_unknown_template_name_rejected_at_load(self):
         with pytest.raises(TemplateError, match="unknown template"):
-            PromptTemplateSet.with_overrides({"no_such_template": "x"})
+            PromptTemplateSet({"no_such_template": "x"})
 
     def test_unknown_placeholder_rejected_at_load(self):
         with pytest.raises(TemplateError, match="placeholder"):
-            PromptTemplateSet.with_overrides({"user_text": "Text: {txet}"})
+            PromptTemplateSet({"user_text": "Text: {txet}"})
 
     def test_positional_placeholder_rejected(self):
         with pytest.raises(TemplateError):
-            PromptTemplateSet.with_overrides({"user_text": "Text: {}"})
-
-    def test_missing_template_rejected(self):
-        incomplete = dict(PromptTemplateSet().templates)
-        del incomplete["user_text"]
-        with pytest.raises(TemplateError, match="missing"):
-            PromptTemplateSet(templates=incomplete)
+            PromptTemplateSet({"user_text": "Text: {}"})
 
     def test_render_unknown_name_rejected(self):
         with pytest.raises(TemplateError):
@@ -78,14 +72,14 @@ class TestStrictness:
 
 class TestOverrides:
     def test_override_replaces_only_named_templates(self):
-        templates = PromptTemplateSet.with_overrides({"user_text": "Texto:\n{text}"})
+        templates = PromptTemplateSet({"user_text": "Texto:\n{text}"})
         assert templates.render("user_text", text="hola") == "Texto:\nhola"
         assert templates.render("turn_next", label="x") == PromptTemplateSet().render(
             "turn_next", label="x"
         )
 
     def test_placeholder_subset_is_allowed(self):
-        templates = PromptTemplateSet.with_overrides({"user_text": "Texto."})
+        templates = PromptTemplateSet({"user_text": "Texto."})
         assert templates.render("user_text", text="ignored") == "Texto."
 
     def test_from_file(self, tmp_path):

@@ -26,8 +26,8 @@ from .errors import (
     ChatnerError,
     ConfigError,
 )
+from .evaluation import MATCHING_MODES, read_conll_file
 from .evaluation import evaluate as evaluate_documents
-from .evaluation import read_conll_file
 
 # A flag that sets a model parameter is stored under the parameter's name,
 # and defaults to the parameter's default.
@@ -72,6 +72,13 @@ def _resolve_backend(spec: str | None):
     raise ConfigError(f"unknown backend {spec!r}; expected mock:<script-file>")
 
 
+def _split_lines(content: str) -> list[str]:
+    """``content`` cut at each "\\n", dropping a "\\r" just before it; unlike
+    ``str.splitlines``, U+2028 and the other Unicode line breaks (a lone "\\r"
+    too) stay in the line, as they may in the JSON records annotate writes."""
+    return content.replace("\r\n", "\n").split("\n")
+
+
 def _read_records(path: str, what: str):
     """The documents of a JSON list of records, or of one record per line."""
     content = read_utf8(path, f"{what} file", ConfigError)
@@ -79,7 +86,7 @@ def _read_records(path: str, what: str):
         if content.lstrip().startswith("["):
             records = json.loads(content)
         else:
-            records = (json.loads(line) for line in content.splitlines() if line.strip())
+            records = (json.loads(line) for line in _split_lines(content) if line.strip())
         return [document_from_record(record) for record in records]
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read {what} from {path}: {exc}") from exc
@@ -88,7 +95,7 @@ def _read_records(path: str, what: str):
 def _read_input_texts(path: str | None) -> list[str]:
     """One document per line; a line may also be a JSON record with "text"."""
     texts = []
-    for line in read_utf8(path, "input file", ConfigError).splitlines():
+    for line in _split_lines(read_utf8(path, "input file", ConfigError)):
         if not line.strip():
             continue
         if line.lstrip().startswith("{"):
@@ -192,7 +199,7 @@ def _result_record(result) -> dict:
 def _write_lines(path: str | None, lines: list[str]) -> None:
     payload = "".join(line + "\n" for line in lines)
     if path is None:
-        sys.stdout.write(payload)
+        click.echo(payload, nl=False)
     else:
         Path(path).write_text(payload, encoding="utf-8")
 
@@ -266,8 +273,9 @@ def dump_prompt(text, input_path, **model_flags) -> None:
 @click.option("--predictions", "predictions_path", default=None,
               help="JSON (list or lines) of document records; omitted means "
                    "annotate first.")
-@click.option("--matching", type=click.Choice(["relaxed", "strict"]),
-              default="relaxed", show_default=True)
+@click.option("--matching", type=click.Choice(MATCHING_MODES),
+              default=inspect.signature(evaluate_documents).parameters["matching"].default,
+              show_default=True)
 @click.option("--output", "output_path", default=None,
               help="Also write the report as JSON to this file.")
 def evaluate(gold_path, predictions_path, matching, output_path, **model_flags):

@@ -10,7 +10,7 @@ refuses to run before ``contextualize``.
 from __future__ import annotations
 
 import inspect
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -132,6 +132,8 @@ class NerModel:
     from there, and ``contextualize`` builds both from these parameters.
     """
 
+    _example_rule: str | None = None  # "refuses" or "requires" examples; None: either
+
     def __init__(
         self,
         *,
@@ -204,21 +206,29 @@ class NerModel:
     def contextualize(
         self,
         entities: EntitySchema | Mapping[str, str],
-        examples: Sequence[AnnotatedDocument] | None = None,
+        examples: Iterable[AnnotatedDocument] | None = None,
     ) -> "NerModel":
         """Bind the entity schema (and optional few-shot examples).
 
         This is the fit step: it validates the whole configuration, builds
         the prompt prefix (system message plus demonstration pairs), and
-        unlocks :meth:`predict`. Returns self for chaining.
+        unlocks :meth:`predict`. ``examples`` may be any iterable; it is read
+        once and checked against the class's rule first. Returns self.
         """
+        try:
+            examples = () if examples is None else tuple(examples)
+        except TypeError:
+            raise ConfigError(f"examples must be iterable, got {type(examples).__name__}") from None
+        if self._example_rule == "refuses" and examples:
+            raise ConfigError("a zero-shot model takes no examples; use FewShotNer instead")
+        if self._example_rule == "requires" and not examples:
+            raise ConfigError("a few-shot model requires a non-empty examples list")
         schema = entities if isinstance(entities, EntitySchema) else EntitySchema(entities)
         config = _config_from_params(NerConfig, self)
         _check_workers(self.max_concurrency)
         if config.pos_mode == "via_hook" and not callable(self.pos_tagger):
             raise ConfigError("pos_mode 'via_hook' needs the pos_tagger parameter")
         templates = _resolve_templates(self.templates)
-        examples = tuple(examples or ())
         system = compose_system_prompt(schema, config, templates)
         demonstrations = render_examples(examples, schema, config, templates)
         prefix = [system]
@@ -385,30 +395,14 @@ class NerModel:
 
 
 class ZeroShotNer(NerModel):
-    """NER from instructions alone: the schema is the entire supervision."""
+    """NER from instructions alone: the schema is the entire supervision, so
+    ``contextualize`` refuses examples (an empty iterable is none)."""
 
-    def contextualize(
-        self,
-        entities: EntitySchema | Mapping[str, str],
-        examples: Sequence[AnnotatedDocument] | None = None,
-    ) -> "ZeroShotNer":
-        if examples:
-            raise ConfigError(
-                "a zero-shot model takes no examples; use FewShotNer instead"
-            )
-        super().contextualize(entities, examples=None)
-        return self
+    _example_rule = "refuses"
 
 
 class FewShotNer(NerModel):
-    """NER with in-context demonstrations rendered into the prompt."""
+    """NER with in-context demonstrations rendered into the prompt;
+    ``contextualize`` requires at least one example."""
 
-    def contextualize(
-        self,
-        entities: EntitySchema | Mapping[str, str],
-        examples: Sequence[AnnotatedDocument] | None = None,
-    ) -> "FewShotNer":
-        if not examples:
-            raise ConfigError("a few-shot model requires a non-empty examples list")
-        super().contextualize(entities, examples=examples)
-        return self
+    _example_rule = "requires"

@@ -184,7 +184,7 @@ class EvalReport:
 
     per_label: tuple[ClassMetrics, ...]
     micro: ClassMetrics
-    matching: str = "relaxed"
+    matching: str
 
     def to_dict(self) -> dict:
         def entry(m: ClassMetrics) -> dict:

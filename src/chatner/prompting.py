@@ -52,8 +52,7 @@ def _turn_shape(schema: EntitySchema, config: NerConfig, templates: PromptTempla
     if config.answer_shape == "json":
         example = json.dumps({schema.labels[0]: ["mention"]}, ensure_ascii=False)
         return templates.render("shape_json_turn", json_example=example)
-    tags = ", ".join(templates.render("tag_example", label=label) for label in schema.labels)
-    return templates.render("shape_inline", tag_examples=tags)
+    return _full_shape(schema, config, templates)
 
 
 def compose_system_prompt(

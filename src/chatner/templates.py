@@ -118,17 +118,6 @@ TEMPLATE_PLACEHOLDERS: dict[str, frozenset[str]] = {
 }
 
 
-class _StrictBindings(dict):
-    def __init__(self, name: str, values: Mapping[str, object]):
-        super().__init__(values)
-        self._name = name
-
-    def __missing__(self, key: str) -> object:
-        raise TemplateError(
-            f"placeholder {{{key}}} in template {self._name!r} is not bound"
-        )
-
-
 @dataclass(frozen=True)
 class PromptTemplateSet:
     """The English prompt templates, with the overrides in ``templates`` laid
@@ -159,7 +148,11 @@ class PromptTemplateSet:
         except KeyError:
             raise TemplateError(f"unknown template name {name!r}") from None
         try:
-            return template.format_map(_StrictBindings(name, values))
+            return template.format_map(values)
+        except KeyError as exc:
+            raise TemplateError(
+                f"placeholder {{{exc.args[0]}}} in template {name!r} is not bound"
+            ) from None
         except (ValueError, IndexError) as exc:
             raise TemplateError(f"template {name!r} is malformed: {exc}") from exc
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ GOLDEN_COMPLETION = (
 )
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def tag_tokens(text):
@@ -106,6 +110,60 @@ class TestAnnotate:
         )
         assert result.exit_code == 0
         assert "señora Díaz" in out.read_text(encoding="utf-8")
+
+    def test_standard_output_that_cannot_encode_the_text(self, workdir):
+        # An ASCII-only standard output: the records still come out, as
+        # UTF-8, instead of a UnicodeEncodeError after every request.
+        (workdir / "mock.json").write_text(json.dumps({"replies": ["x"]}), encoding="utf-8")
+        env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "chatner.cli", "annotate", *args(workdir)],
+            input="中 Ada\n".encode("utf-8"), env=env, capture_output=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+        assert json.loads(done.stdout.decode("utf-8"))["text"] == "中 Ada"
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\r"])
+    def test_only_newline_ends_an_input_line(self, runner, workdir, separator):
+        (workdir / "mock.json").write_text(json.dumps({"replies": ["x"]}), encoding="utf-8")
+        text = f"Ada{separator}wrote it."
+        result = runner.invoke(main, ["annotate", *args(workdir)], input=text + "\n")
+        assert result.exit_code == 0, result.output
+        (record,) = [json.loads(line) for line in result.stdout.split("\n") if line]
+        assert record["text"] == text
+
+    def test_crlf_input_gives_one_document_per_line(self, runner, workdir):
+        (workdir / "mock.json").write_text(json.dumps({"replies": ["x", "x"]}), encoding="utf-8")
+        (workdir / "input.txt").write_bytes(b"Ada wrote.\r\n\r\n  \r\nBob read.\r\n")
+        result = runner.invoke(
+            main, ["annotate", *args(workdir, "--input", str(workdir / "input.txt"))]
+        )
+        assert result.exit_code == 0, result.output
+        texts = [json.loads(line)["text"] for line in result.stdout.split("\n") if line]
+        assert texts == ["Ada wrote.", "Bob read."]
+
+    def test_output_with_a_line_separator_reads_back(self, runner, workdir):
+        text = "Ada\u2028wrote it."
+        (workdir / "mock.json").write_text(
+            json.dumps({"replies": ["<person>Ada</person>\u2028wrote it."]}), encoding="utf-8"
+        )
+        out = workdir / "out.jsonl"
+        result = runner.invoke(
+            main,
+            ["annotate", *args(workdir, "--output", str(out))],
+            input=json.dumps({"text": text}) + "\n",
+        )
+        assert result.exit_code == 0, result.output
+        assert "\u2028" in out.read_text(encoding="utf-8")  # written unescaped
+        (document,) = cli._read_records(str(out), "predictions")
+        assert document.text == text
+        assert [(a.start, a.end, a.label) for a in document.annotations] == [(0, 3, "person")]
+        result = runner.invoke(
+            main, ["dump-prompt", *args(workdir, "--examples", str(out), "--text", "x")]
+        )
+        assert result.exit_code == 0, result.output
+        assert "<person>Ada</person>\u2028wrote it." in result.stdout
 
     def test_delimiters_with_single_turn_fatal(self, runner, workdir):
         result = runner.invoke(
@@ -392,6 +450,16 @@ class TestDumpPrompt:
         second = runner.invoke(main, command)
         assert first.stdout == second.stdout
 
+    def test_input_file_gives_its_first_document(self, runner, workdir):
+        (workdir / "input.txt").write_text("\n  \nAda wrote.\nBob read.\n", encoding="utf-8")
+        result = runner.invoke(
+            main,
+            ["dump-prompt", "--schema", str(workdir / "schema.json"),
+             "--input", str(workdir / "input.txt")],
+        )
+        assert result.exit_code == 0, result.output
+        assert result.stdout.endswith("[user]\nText:\nAda wrote.\n")
+
     def test_contacts_no_backend(self, runner, workdir):
         result = runner.invoke(
             main,
@@ -441,6 +509,22 @@ class TestModelFlags:
         assert result.exit_code == 1, result.output
         assert result.stderr.startswith("error: ")
         assert "--pos hook" in result.stderr and "--pos-hook" in result.stderr
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("tag_tokens", "--pos-hook must look like module:function, got 'tag_tokens'"),
+         ("no_such_module_for_chatner:tag", "cannot load POS hook 'no_such_module_for_chatner:tag'"),
+         (f"{__name__}:no_such_hook", f"cannot load POS hook '{__name__}:no_such_hook'"),
+         (f"{__name__}:GOLDEN_TEXT", f"POS hook '{__name__}:GOLDEN_TEXT' is not callable")],
+        ids=["no colon", "module not found", "no such attribute", "not callable"],
+    )
+    def test_unusable_pos_hook_is_named(self, runner, workdir, spec, message):
+        result = runner.invoke(
+            main, ["dump-prompt", "--schema", str(workdir / "schema.json"), "--text", "Ada",
+                   "--pos", "hook", "--pos-hook", spec],
+        )
+        assert result.exit_code == 1, result.output
+        assert result.stderr.startswith(f"error: {message}")
 
     @pytest.mark.parametrize(
         "flag",
@@ -535,3 +619,9 @@ class TestHelp:
         assert result.exit_code == 0
         for name in ("annotate", "evaluate", "dump-prompt"):
             assert name in result.stdout
+
+    def test_matching_flag_lists_the_modes_and_the_default(self, runner):
+        result = runner.invoke(main, ["evaluate", "--help"])
+        assert result.exit_code == 0
+        assert "--matching [relaxed|strict]" in result.stdout
+        assert "[default: relaxed]" in result.stdout

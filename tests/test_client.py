@@ -275,6 +275,11 @@ class TestHttpBackend:
         with pytest.raises(MalformedResponseError):
             HttpBackend().complete(CONVO, self.config(http_server))
 
+    def test_non_string_content_is_malformed(self, http_server):
+        http_server.script = [(200, {"choices": [{"message": {"content": ["x"]}}]})]
+        with pytest.raises(MalformedResponseError, match="content is not a string"):
+            HttpBackend().complete(CONVO, self.config(http_server))
+
     def test_deep_json_body_is_malformed(self, http_server):
         http_server.script = [(200, "[" * 100_000)]
         with pytest.raises(MalformedResponseError):

@@ -189,6 +189,10 @@ class TestEntitySchema:
         with pytest.raises(ConfigError):
             EntitySchema({"": "nothing"})
 
+    def test_non_string_description_rejected(self):
+        with pytest.raises(ConfigError, match="description for 'person' must be a string"):
+            EntitySchema({"person": ["People."]})
+
     @pytest.mark.parametrize("label", ["a<b", "a>b", "a/b"])
     def test_reserved_characters_rejected(self, label):
         with pytest.raises(ConfigError):
@@ -261,6 +265,14 @@ class TestNerConfig:
         assert config.delimiters == ("@@", "##")
 
     @pytest.mark.parametrize(
+        "delimiters", [("@@",), ("@@", "##", "%%"), ("@@", ""), ("@@", 5)],
+        ids=["one", "three", "empty", "non-string"],
+    )
+    def test_malformed_delimiters_rejected(self, delimiters):
+        with pytest.raises(ConfigError, match="delimiters must be a pair of non-empty strings"):
+            NerConfig(method="multi_turn", delimiters=delimiters)
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("method", "telepathy"),
@@ -302,6 +314,16 @@ class TestRecordRoundTrip:
     def test_missing_text_rejected(self):
         with pytest.raises(ValueError):
             document_from_record({"annotations": []})
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [(["ab"], "document record must be an object, got list"),
+         ({"text": 5}, "document 'text' must be a string")],
+        ids=["list record", "number text"],
+    )
+    def test_record_of_the_wrong_shape_rejected(self, record, message):
+        with pytest.raises(ValueError, match=message):
+            document_from_record(record)
 
     def test_bad_annotation_rejected(self):
         with pytest.raises(ValueError):

@@ -101,12 +101,48 @@ class TestContextualize:
     def test_zero_shot_rejects_examples(self, fewshot_examples):
         with pytest.raises(ConfigError, match="zero-shot"):
             ZeroShotNer().contextualize(SCHEMA, examples=fewshot_examples)
+        with pytest.raises(ConfigError, match="zero-shot"):
+            ZeroShotNer().contextualize(SCHEMA, examples=iter(fewshot_examples))
+
+    @pytest.mark.parametrize(
+        "empty", [[], iter([]), (doc for doc in [])], ids=["list", "iterator", "generator"]
+    )
+    def test_zero_shot_accepts_no_examples(self, empty):
+        model = ZeroShotNer(backend=seq("x")).contextualize(SCHEMA, examples=empty)
+        assert [message.role for message in model.prefix_] == ["system"]
 
     def test_few_shot_requires_examples(self):
         with pytest.raises(ConfigError, match="few-shot"):
             FewShotNer().contextualize(SCHEMA)
         with pytest.raises(ConfigError, match="few-shot"):
             FewShotNer().contextualize(SCHEMA, examples=[])
+
+    @pytest.mark.parametrize(
+        "empty", [iter([]), (doc for doc in [])], ids=["iterator", "generator"]
+    )
+    def test_few_shot_refuses_an_empty_iterable(self, empty):
+        with pytest.raises(ConfigError) as caught:
+            FewShotNer().contextualize(SCHEMA, examples=empty)
+        assert str(caught.value) == "a few-shot model requires a non-empty examples list"
+
+    def test_examples_are_read_once(self, fewshot_examples):
+        schema = dict(SCHEMA, organization="Companies.")
+        from_list = FewShotNer(backend=seq("x")).contextualize(schema, examples=fewshot_examples)
+        from_generator = FewShotNer(backend=seq("x")).contextualize(
+            schema, examples=(example for example in fewshot_examples)
+        )
+        assert from_generator.prefix_ == from_list.prefix_
+
+    @pytest.mark.parametrize("model_class", [NerModel, ZeroShotNer, FewShotNer])
+    def test_examples_that_are_not_iterable_rejected(self, model_class):
+        with pytest.raises(ConfigError, match="examples must be iterable, got AnnotatedDocument"):
+            model_class().contextualize(SCHEMA, examples=AnnotatedDocument("Lima"))
+
+    def test_example_rule_checked_before_the_schema(self, fewshot_examples):
+        with pytest.raises(ConfigError, match="zero-shot"):
+            ZeroShotNer().contextualize({}, examples=fewshot_examples)
+        with pytest.raises(ConfigError, match="few-shot"):
+            FewShotNer(method="telepathy").contextualize({})
 
     def test_example_with_out_of_schema_label_rejected(self):
         # Multi-turn renders one label per turn, so this check is all that
@@ -200,6 +236,15 @@ class TestContextualize:
         ).contextualize(SCHEMA)
         planned = model.plan_conversation("hola")
         assert planned[-1].content == "Texto:\nhola"
+
+    def test_template_set_used_as_given(self):
+        templates = PromptTemplateSet({"user_text": "Texto:\n{text}"})
+        model = ZeroShotNer(backend=seq("x"), templates=templates).contextualize(SCHEMA)
+        assert model.templates_ is templates
+
+    def test_templates_of_another_type_rejected(self):
+        with pytest.raises(ConfigError, match="templates must be a PromptTemplateSet.* got int"):
+            ZeroShotNer(templates=42).contextualize(SCHEMA)
 
 
 class TestPredictOneSingleTurn:
@@ -523,6 +568,18 @@ class TestPredictBatch:
         model, _ = self.make_model()
         with pytest.raises(TypeError, match="sequence of texts"):
             model.predict("Ana is here")
+
+    @pytest.mark.parametrize(
+        "texts, message",
+        [(42, "texts must be a sequence of strings, got int"),
+         (["Ana", 7], "texts must all be strings, got int")],
+        ids=["not iterable", "non-string item"],
+    )
+    def test_texts_of_the_wrong_type_rejected(self, texts, message):
+        model, backend = self.make_model()
+        with pytest.raises(TypeError, match=message):
+            model.predict(texts)
+        assert backend.calls == []
 
     def test_zero_concurrency_rejected(self):
         model, _ = self.make_model()

@@ -319,6 +319,10 @@ class TestEvaluate:
         with pytest.raises(EvaluationError, match="gold"):
             evaluate([], [AnnotatedDocument("x")])
 
+    def test_unknown_matching_rejected(self):
+        with pytest.raises(EvaluationError, match="matching must be one of .* got 'fuzzy'"):
+            evaluate([], [], matching="fuzzy")
+
     def test_text_mismatch_rejected(self):
         with pytest.raises(EvaluationError, match="document 0"):
             evaluate([AnnotatedDocument("a")], [AnnotatedDocument("b")])

@@ -831,6 +831,20 @@ class TestParseJsonAnswer:
         assert doc.annotations == {Annotation(0, 3, "person")}
         assert any("treated as one mention" in w for w in report.warnings)
 
+    @pytest.mark.parametrize(
+        "value, warning",
+        [('{"a": 1}', "value for label 'person' is not a list; dropped"),
+         ("[3]", "non-string mention 3 for 'person' dropped"),
+         ('[""]', "empty mention for 'person' dropped")],
+        ids=["object value", "number mention", "empty mention"],
+    )
+    def test_unusable_value_dropped_with_warning(self, pl_schema, value, warning):
+        doc, report = parse_json_answer(
+            f'{{"person": {value}, "location": ["Peru"]}}', "Ana Peru", pl_schema
+        )
+        assert doc.annotations == {Annotation(4, 8, "location")}
+        assert report.warnings == (warning,)
+
     def test_missing_object_raises(self, pl_schema):
         with pytest.raises(ParseError):
             parse_json_answer("there is no object here", "Ana", pl_schema)

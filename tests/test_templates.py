@@ -66,8 +66,19 @@ class TestStrictness:
             PromptTemplateSet().render("no_such_template")
 
     def test_render_missing_value_rejected(self):
-        with pytest.raises(TemplateError):
+        with pytest.raises(TemplateError) as caught:
             PromptTemplateSet().render("user_text")
+        assert str(caught.value) == "placeholder {text} in template 'user_text' is not bound"
+
+    def test_malformed_override_rejected_at_load(self):
+        with pytest.raises(TemplateError, match="template 'user_text' is malformed: expected '}'"):
+            PromptTemplateSet({"user_text": "Text: {text"})
+
+    def test_render_bad_conversion_rejected(self):
+        # Formatter.parse accepts any conversion letter; format_map does not.
+        templates = PromptTemplateSet({"user_text": "Text: {text!z}"})
+        with pytest.raises(TemplateError, match="template 'user_text' is malformed: .* z"):
+            templates.render("user_text", text="hola")
 
 
 class TestOverrides:

@@ -43,11 +43,6 @@ _SHORT = {
 }
 
 
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
-
-
 def _load_hook(spec: str):
     module_name, _, attr = spec.partition(":")
     if not module_name or not attr:
@@ -124,7 +119,6 @@ def model_options(require_schema: bool = True):
     def wrap(command):
         options = [
             click.option("--schema", "schema_path", required=require_schema,
-                         default=None,
                          help="JSON file mapping entity labels to descriptions."),
             click.option("--examples", "examples_path", default=None,
                          help="JSON (list or lines) of annotated example records."),
@@ -205,22 +199,36 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 
 def _finish_batch(results) -> None:
-    """Map per-document failures to the exit-code convention."""
-    fatal = next(
-        (
-            r.error
-            for r in results
-            if isinstance(r.error, (AuthenticationError, BackendConnectionError))
-        ),
-        None,
-    )
-    if fatal is not None:
-        _fail(str(fatal))
-    if any(r.error is not None for r in results):
+    """Raise a failure that ends the run (bad credentials, no backend), or
+    exit 2 if some documents failed."""
+    for result in results:
+        if isinstance(result.error, (AuthenticationError, BackendConnectionError)):
+            raise result.error
+    if any(result.error is not None for result in results):
         sys.exit(2)
 
 
-@click.group()
+class _Cli(click.Group):
+    """The one place a failure becomes exit 1: a usage error, before or after
+    the command name, prints click's usage message, and a ChatnerError or
+    OSError prints "error: ...". With ``standalone_mode=False`` exceptions
+    reach the caller, as in click."""
+
+    def main(self, *args, standalone_mode: bool = True, **kwargs):
+        if not standalone_mode:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        try:
+            sys.exit(super().main(*args, standalone_mode=False, **kwargs))
+        except click.ClickException as exc:  # usage errors among them
+            exc.show()
+        except (ChatnerError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+        sys.exit(1)
+
+
+@click.group(cls=_Cli)
 @click.version_option(version=__version__, prog_name="chatner")
 def main() -> None:
     """Named entity recognition through chat-completion language models."""
@@ -234,17 +242,10 @@ def main() -> None:
               help="Output file for JSON records; default standard output.")
 def annotate(input_path, output_path, **model_flags) -> None:
     """Annotate documents and emit one JSON record per input line."""
-    try:
-        model = _build_model(**model_flags)
-        texts = _read_input_texts(input_path)
-        results = model.predict(texts)
-        lines = [
-            json.dumps(_result_record(result), ensure_ascii=False)
-            for result in results
-        ]
-        _write_lines(output_path, lines)
-    except (ChatnerError, OSError) as exc:
-        _fail(str(exc))
+    model = _build_model(**model_flags)
+    results = model.predict(_read_input_texts(input_path))
+    lines = [json.dumps(_result_record(result), ensure_ascii=False) for result in results]
+    _write_lines(output_path, lines)
     _finish_batch(results)
 
 
@@ -255,14 +256,11 @@ def annotate(input_path, output_path, **model_flags) -> None:
               help="Read the document from this file (first non-empty line).")
 def dump_prompt(text, input_path, **model_flags) -> None:
     """Print the exact conversation annotate would submit, without any request."""
-    try:
-        model = _build_model(**model_flags)
-        if text is None:
-            candidates = _read_input_texts(input_path)
-            text = candidates[0] if candidates else ""
-        messages = model.plan_conversation(text)
-    except (ChatnerError, OSError) as exc:
-        _fail(str(exc))
+    model = _build_model(**model_flags)
+    if text is None:
+        candidates = _read_input_texts(input_path)
+        text = candidates[0] if candidates else ""
+    messages = model.plan_conversation(text)
     click.echo("\n\n".join(f"[{m.role}]\n{m.content}" for m in messages))
 
 
@@ -281,25 +279,20 @@ def dump_prompt(text, input_path, **model_flags) -> None:
 def evaluate(gold_path, predictions_path, matching, output_path, **model_flags):
     """Score predictions against a gold CoNLL file and print the table."""
     results = None
-    try:
-        gold = read_conll_file(gold_path)
-        if predictions_path is not None:
-            predicted = _read_records(predictions_path, "predictions")
-        else:
-            if model_flags.get("schema_path") is None:
-                raise ConfigError(
-                    "scoring without --predictions annotates the gold texts "
-                    "first and needs --schema"
-                )
-            model = _build_model(**model_flags)
-            results = model.predict([doc.text for doc in gold])
-            predicted = [result.document for result in results]
-        report = evaluate_documents(predicted, gold, matching=matching)
-        click.echo(report.to_table())
-        if output_path is not None:
-            Path(output_path).write_text(report.to_json() + "\n", encoding="utf-8")
-    except (ChatnerError, OSError) as exc:
-        _fail(str(exc))
+    gold = read_conll_file(gold_path)
+    if predictions_path is not None:
+        predicted = _read_records(predictions_path, "predictions")
+    else:
+        if model_flags.get("schema_path") is None:
+            raise ConfigError("scoring without --predictions annotates the gold texts "
+                              "first and needs --schema")
+        model = _build_model(**model_flags)
+        results = model.predict([doc.text for doc in gold])
+        predicted = [result.document for result in results]
+    report = evaluate_documents(predicted, gold, matching=matching)
+    click.echo(report.to_table())
+    if output_path is not None:
+        Path(output_path).write_text(report.to_json() + "\n", encoding="utf-8")
     if results is not None:
         _finish_batch(results)
 

@@ -69,8 +69,9 @@ class BackendConfig:
             raise ConfigError("temperature must be >= 0")
         if self.max_tokens < 1:
             raise ConfigError("max_tokens must be >= 1")
-        if self.timeout <= 0:
-            raise ConfigError("timeout must be > 0")
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            # A socket refuses a longer timeout with an OverflowError.
+            raise ConfigError(f"timeout must be > 0 and at most {threading.TIMEOUT_MAX:.0f}")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
         if self.initial_backoff_ms < 0:
@@ -222,7 +223,7 @@ def _retry_after_seconds(value: str | None) -> float | None:
 
 # A matcher is a substring required in the last user message, or a callable
 # judging the whole conversation.
-MockRule = tuple[str | Callable[[Sequence[_Message]], bool], str]
+MockRule = tuple[str | Callable[[Sequence[_Message]], bool], str | BaseException]
 
 
 class MockBackend:
@@ -232,7 +233,9 @@ class MockBackend:
     an Exception instance in the list is raised instead of returned, which
     scripts failures. Matcher mode answers with the reply of the first rule
     whose matcher hits, regardless of call order. Every conversation seen
-    is recorded in ``calls``.
+    is recorded in ``calls``. The script is checked here: a non-empty list
+    (not a bare string) of replies, each a string or an exception instance,
+    or of (substring or callable, reply) matchers; else a ConfigError.
     """
 
     def __init__(
@@ -241,9 +244,21 @@ class MockBackend:
         matchers: Sequence[MockRule] | None = None,
     ):
         if (replies is None) == (matchers is None):
-            raise ConfigError("pass exactly one of replies= or matchers=")
-        if replies is not None and not replies:
-            raise ConfigError("sequence mode needs at least one scripted reply")
+            raise ConfigError("give exactly one of replies or matchers")
+        name, script = ("replies", replies) if matchers is None else ("matchers", matchers)
+        if isinstance(script, str) or not isinstance(script, Sequence) or not script:
+            raise ConfigError(f"{name} must be a non-empty list, got {script!r:.60}")
+        for position, entry in enumerate(script):
+            where = f"{name}[{position}]"
+            if matchers is not None:
+                if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                        and (isinstance(entry[0], str) or callable(entry[0]))):
+                    raise ConfigError(f"{where} must be a (substring or callable, reply) "
+                                      f"pair, got {entry!r:.60}")
+                where, entry = f"the reply of {where}", entry[1]
+            if not isinstance(entry, (str, BaseException)):
+                raise ConfigError(f"{where} must be a string or an exception instance, "
+                                  f"got {entry!r:.60}")
         self._replies = list(replies) if replies is not None else None
         self._matchers = list(matchers) if matchers is not None else None
         self._lock = threading.Lock()
@@ -281,26 +296,10 @@ class MockBackend:
     def from_file(cls, path: str | Path) -> "MockBackend":
         """Load a script from JSON: {"replies": [...]} or {"matchers": [[substring, reply], ...]}."""
         data = read_json_object(path, "mock script", ConfigError)
-        if ("replies" in data) == ("matchers" in data):
-            raise ConfigError(
-                f"mock script {path} must define exactly one of 'replies' or 'matchers'"
-            )
-        if "replies" in data:
-            replies = data["replies"]
-            if not isinstance(replies, list) or not all(
-                isinstance(r, str) for r in replies
-            ):
-                raise ConfigError("'replies' must be a list of strings")
-            return cls(replies=replies)
-        matchers = data["matchers"]
-        if not isinstance(matchers, list) or not all(
-            isinstance(m, list)
-            and len(m) == 2
-            and all(isinstance(part, str) for part in m)
-            for m in matchers
-        ):
-            raise ConfigError("'matchers' must be a list of [substring, reply] pairs")
-        return cls(matchers=[(m[0], m[1]) for m in matchers])
+        try:
+            return cls(replies=data.get("replies"), matchers=data.get("matchers"))
+        except ConfigError as exc:
+            raise ConfigError(f"mock script {path}: {exc}") from None
 
 
 def backoff_delay_ms(

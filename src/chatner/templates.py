@@ -3,7 +3,7 @@
 All model-facing wording lives here so it can be overridden wholesale,
 for example to prompt in another language, without touching any code.
 Overrides come from a flat JSON object mapping template name to template
-string; placeholders use ``str.format`` syntax and are validated at load
+string; placeholders are plain ``str.format`` names, validated at load
 time against the set each template is allowed to reference.
 """
 
@@ -92,21 +92,24 @@ _ENGLISH = {
 
 
 def _placeholder_names(name: str, template: str) -> set[str]:
-    names: set[str] = set()
+    """The placeholders of ``template``: plain names (no index, attribute or
+    position) with no placeholder nested in a format spec, and with the
+    conversions and format specs a string accepts (checked by formatting
+    ``template`` once with every name bound to an empty string)."""
     try:
-        parsed = list(string.Formatter().parse(template))
+        fields = [(f, spec) for _, f, spec, _ in string.Formatter().parse(template) if f is not None]
+        bad = [f"{f}:{spec}" if spec else f for f, spec in fields
+               if not f.isidentifier() or "{" in spec]
+        if not bad:
+            template.format_map({f: "" for f, _ in fields})
     except ValueError as exc:
         raise TemplateError(f"template {name!r} is malformed: {exc}") from exc
-    for _literal, fieldname, _spec, _conv in parsed:
-        if fieldname is None:
-            continue
-        if fieldname == "" or fieldname.isdigit():
-            raise TemplateError(
-                f"template {name!r} uses a positional placeholder; "
-                "placeholders must be named"
-            )
-        names.add(fieldname.split(".")[0].split("[")[0])
-    return names
+    if bad:
+        raise TemplateError(
+            f"template {name!r} has an invalid placeholder {{{bad[0]}}}: "
+            "placeholders must be plain names, with no placeholder in a format spec"
+        )
+    return {f for f, _ in fields}
 
 
 # Template name -> placeholders it may reference: exactly those its English
@@ -121,12 +124,14 @@ TEMPLATE_PLACEHOLDERS: dict[str, frozenset[str]] = {
 @dataclass(frozen=True)
 class PromptTemplateSet:
     """The English prompt templates, with the overrides in ``templates`` laid
-    over them by name. Names and placeholders are checked here; afterwards
-    ``templates`` holds the full set."""
+    over them by name. Every check is made here, once (see
+    :func:`_placeholder_names`); afterwards ``templates`` holds the full set."""
 
     templates: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.templates, Mapping):
+            raise TemplateError(f"templates must be a mapping, got {type(self.templates).__name__}")
         object.__setattr__(self, "templates", {**_ENGLISH, **self.templates})
         for name, template in self.templates.items():
             if name not in TEMPLATE_PLACEHOLDERS:
@@ -141,8 +146,9 @@ class PromptTemplateSet:
                     f"{{{sorted(unknown)[0]}}}; allowed: {sorted(allowed) or 'none'}"
                 )
 
-    def render(self, name: str, **values: object) -> str:
-        """Fill template ``name``; unbound placeholders raise TemplateError."""
+    def render(self, name: str, **values: str) -> str:
+        """Fill template ``name`` with string ``values``; an unknown name or an
+        unbound placeholder raises TemplateError, and nothing else can fail."""
         try:
             template = self.templates[name]
         except KeyError:
@@ -153,8 +159,6 @@ class PromptTemplateSet:
             raise TemplateError(
                 f"placeholder {{{exc.args[0]}}} in template {name!r} is not bound"
             ) from None
-        except (ValueError, IndexError) as exc:
-            raise TemplateError(f"template {name!r} is malformed: {exc}") from exc
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PromptTemplateSet":

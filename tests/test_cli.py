@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from chatner import ZeroShotNer, cli
+from chatner import ConfigError, ZeroShotNer, cli
 from chatner.cli import main
 
 GOLDEN_TEXT = "Fei-Fei Li is a female scientist born in China."
@@ -611,6 +611,65 @@ class TestModelFlags:
         assert result.stderr.startswith("error: ")
         assert str(deep) in result.stderr
         assert "Traceback" not in result.output
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dump-prompt", "--method", "bogus"], "Invalid value for '--method'"),
+            (["dump-prompt", "--concurrency", "abc"], "Invalid value for '--concurrency'"),
+            (["nope"], "No such command 'nope'"),
+            (["--bogus"], "No such option '--bogus'"),
+        ],
+        ids=["bad choice", "bad integer", "unknown command", "option before the command"],
+    )
+    def test_usage_error_exits_1_with_the_usage_message(self, runner, workdir, argv, message):
+        if argv[0] == "dump-prompt":
+            argv = [*argv, "--schema", str(workdir / "schema.json"), "--text", "x"]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1, result.output
+        assert result.stderr.startswith("Usage: ")
+        assert f"Error: {message}" in result.stderr
+
+    @pytest.mark.parametrize("command", ["annotate", "dump-prompt"])
+    def test_schema_is_required(self, runner, workdir, command):
+        result = runner.invoke(main, [command], input=GOLDEN_TEXT + "\n")
+        assert result.exit_code == 1, result.output
+        assert "Error: Missing option '--schema'" in result.stderr
+
+    @pytest.mark.parametrize(
+        "placeholder", ["{text[x]}", "{text.nope}", "{text:{width}}", "{text!z}", "{text:d}"]
+    )
+    @pytest.mark.parametrize("command", ["annotate", "dump-prompt"])
+    def test_template_no_string_can_fill_ends_the_run(self, runner, workdir, command,
+                                                      placeholder):
+        templates = workdir / "t.json"
+        templates.write_text(json.dumps({"user_text": f"Text: {placeholder}"}), encoding="utf-8")
+        result = runner.invoke(
+            main, [command, *args(workdir, "--templates", str(templates),
+                                  "--input", str(workdir / "input.txt"))],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: template 'user_text' ")
+        assert result.stdout == ""
+
+    def test_failures_reach_a_caller_outside_standalone_mode(self, workdir):
+        (workdir / "schema.json").write_text("{}", encoding="utf-8")
+        with pytest.raises(ConfigError):
+            main.main(args=["dump-prompt", *args(workdir), "--text", "x"],
+                      standalone_mode=False)
+
+    def test_bad_mock_script_is_named(self, runner, workdir):
+        (workdir / "mock.json").write_text('{"replies": "<person>Ada</person>"}',
+                                           encoding="utf-8")
+        result = runner.invoke(main, ["annotate", *args(workdir)], input="Ada\n")
+        assert result.exit_code == 1, result.output
+        assert result.stderr == (
+            f"error: mock script {workdir / 'mock.json'}: replies must be a non-empty "
+            "list, got '<person>Ada</person>'\n"
+        )
 
 
 class TestHelp:

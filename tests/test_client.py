@@ -145,6 +145,7 @@ class TestBackendConfig:
             {"temperature": float("inf")},
             {"timeout": float("nan")},
             {"timeout": float("inf")},
+            {"timeout": 1e12},  # past threading.TIMEOUT_MAX, which a socket refuses
             {"initial_backoff_ms": float("nan")},
             {"initial_backoff_ms": float("inf")},
             {"max_tokens": 10.0},
@@ -502,6 +503,45 @@ class TestMockBackend:
         path.write_text(payload)
         with pytest.raises(ConfigError):
             MockBackend.from_file(path)
+
+    @pytest.mark.parametrize(
+        "script, message",
+        [
+            ({"replies": "<PER>Ada</PER> ran"},
+             "replies must be a non-empty list, got '<PER>Ada</PER> ran'"),
+            ({"replies": []}, "replies must be a non-empty list, got []"),
+            ({"matchers": ()}, "matchers must be a non-empty list, got ()"),
+            ({"replies": ["a", 5]},
+             "replies[1] must be a string or an exception instance, got 5"),
+            ({"matchers": [("Ada",)]},
+             "matchers[0] must be a (substring or callable, reply) pair, got ('Ada',)"),
+            ({"matchers": [(3, "x")]},
+             "matchers[0] must be a (substring or callable, reply) pair, got (3, 'x')"),
+            ({"matchers": [("Ada", None)]},
+             "the reply of matchers[0] must be a string or an exception instance, got None"),
+        ],
+        ids=["string replies", "empty replies", "empty matchers", "non-string reply",
+             "one-element matcher", "non-string substring", "non-string matcher reply"],
+    )
+    def test_constructor_rejects_bad_scripts(self, script, message):
+        with pytest.raises(ConfigError) as caught:
+            MockBackend(**script)
+        assert str(caught.value) == message
+
+    def test_from_file_error_names_the_file(self, tmp_path):
+        path = tmp_path / "script.json"
+        path.write_text('{"matchers": [["Ada", 3]]}')
+        with pytest.raises(ConfigError) as caught:
+            MockBackend.from_file(path)
+        assert str(caught.value) == (
+            f"mock script {path}: the reply of matchers[0] must be a string "
+            "or an exception instance, got 3"
+        )
+
+    def test_scripted_exception_as_matcher_reply(self):
+        backend = MockBackend(matchers=[("hi", RateLimitError("scripted"))])
+        with pytest.raises(RateLimitError):
+            backend.complete(CONVO, BackendConfig())
 
 
 class TestBackoff:

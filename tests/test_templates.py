@@ -74,11 +74,26 @@ class TestStrictness:
         with pytest.raises(TemplateError, match="template 'user_text' is malformed: expected '}'"):
             PromptTemplateSet({"user_text": "Text: {text"})
 
-    def test_render_bad_conversion_rejected(self):
+    def test_bad_conversion_rejected_at_load(self):
         # Formatter.parse accepts any conversion letter; format_map does not.
-        templates = PromptTemplateSet({"user_text": "Text: {text!z}"})
         with pytest.raises(TemplateError, match="template 'user_text' is malformed: .* z"):
-            templates.render("user_text", text="hola")
+            PromptTemplateSet({"user_text": "Text: {text!z}"})
+
+    @pytest.mark.parametrize(
+        "placeholder",
+        ["{text[x]}", "{text.nope}", "{text[0]}", "{text:{width}}", "{text:d}", "{}"],
+    )
+    def test_placeholder_no_string_can_fill_rejected_at_load(self, placeholder):
+        with pytest.raises(TemplateError, match="^template 'user_text' "):
+            PromptTemplateSet({"user_text": f"Text: {placeholder}"})
+
+    def test_conversion_and_spec_a_string_accepts_are_kept(self):
+        templates = PromptTemplateSet({"user_text": "Text: {text!r:>7}"})
+        assert templates.render("user_text", text="hola") == "Text:  'hola'"
+
+    def test_non_mapping_rejected(self):
+        with pytest.raises(TemplateError, match="^templates must be a mapping, got int$"):
+            PromptTemplateSet(42)
 
 
 class TestOverrides:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -183,6 +183,14 @@ def read_json_object(path: str | Path, what: str, error: type[Exception]) -> dic
     return data
 
 
+def check_delimiters(delimiters: Sequence[str]) -> tuple[str, str]:
+    """Custom delimiters, any sequence of two non-empty strings, as a tuple."""
+    pair = tuple(delimiters) if isinstance(delimiters, Sequence) else ()
+    if len(pair) != 2 or not all(isinstance(part, str) and part for part in pair):
+        raise ConfigError("delimiters must be a pair of non-empty strings")
+    return pair
+
+
 @dataclass(frozen=True)
 class NerConfig:
     """Everything that shapes one annotation run, minus the schema.
@@ -214,10 +222,7 @@ class NerConfig:
             if value not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
         if self.delimiters is not None:
-            pair = tuple(self.delimiters)
-            if len(pair) != 2 or not all(isinstance(p, str) and p for p in pair):
-                raise ConfigError("delimiters must be a pair of non-empty strings")
-            object.__setattr__(self, "delimiters", pair)
+            object.__setattr__(self, "delimiters", check_delimiters(self.delimiters))
             if self.method != "multi_turn":
                 raise ConfigError("custom delimiters require multi-turn prompting")
             if self.answer_shape != "inline":

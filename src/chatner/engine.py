@@ -54,12 +54,7 @@ def _resolve_templates(
         return templates
     if isinstance(templates, (str, Path)):
         return PromptTemplateSet.from_file(templates)
-    if templates is None or isinstance(templates, Mapping):
-        return PromptTemplateSet(templates or {})
-    raise ConfigError(
-        "templates must be a PromptTemplateSet, a mapping of overrides, "
-        f"or a path, got {type(templates).__name__}"
-    )
+    return PromptTemplateSet({} if templates is None else templates)
 
 
 def check_is_contextualized(model) -> None:

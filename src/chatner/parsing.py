@@ -13,8 +13,10 @@ dropped, and Myers' O(ND) difference algorithm pairs the rest within a
 fixed work budget. A run of pairs with equal whitespace between them maps
 as one piece; only bounded gaps between runs are refined character by
 character, so alignment, like JSON block extraction, takes near-linear time
-and recurses nowhere. Tokens and tags come from one ``re.split`` each, so
-no Python loop builds a string, an offset or an alignment piece per token.
+and recurses nowhere. Tokens come from ``str.split()``, which is all the
+work for a text with single spaces between its tokens; other texts, and
+tags, take one ``re.split`` each. No Python loop builds a string, an offset
+or an alignment piece per token, and no offset is stored per token.
 """
 
 from __future__ import annotations
@@ -23,13 +25,15 @@ import difflib
 import json
 import re
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, cycle, repeat
-from typing import Sequence
+from itertools import accumulate, chain, compress, count, cycle, islice, pairwise, repeat
+from math import isqrt
+from operator import ne, not_, sub
+from typing import Callable, Sequence
 
-from .domain import AnnotatedDocument, Annotation, EntitySchema
+from .domain import AnnotatedDocument, Annotation, EntitySchema, check_delimiters
 from .errors import ConfigError, ParseError
 
 _SPACE_RE = re.compile(r"(\s+)")
@@ -110,7 +114,9 @@ def _myers_snakes(a: list[str], b: list[str]) -> list[tuple[int, int, int]] | No
     if not a or not b:
         return []
     n, m = len(a), len(b)
-    offset = n + m + 1
+    # Rounds 0 to d spend more than d * d / 2, so the budget bounds the
+    # diagonals reached; the last one, n - m, must fit as well.
+    offset = min(n + m, max(isqrt(2 * _DIFF_BUDGET), abs(n - m))) + 1
     v = [0] * (2 * offset + 1)
     rounds: list[array] = []
     spent = 0
@@ -148,28 +154,48 @@ def _myers_snakes(a: list[str], b: list[str]) -> list[tuple[int, int, int]] | No
     return snakes
 
 
-def _common_token_pairs(a: list[str], b: list[str]) -> list[tuple[int, int]]:
-    """Index pairs of a longest common subsequence of the two token lists.
+def _common_token_pairs(a: list[str], b: list[str]) -> list[tuple[int, int, int]]:
+    """A longest common subsequence of the two token lists, as runs.
 
-    The common prefix and suffix pair directly; tokens absent from the other
-    side cannot pair and are left out of the diff, so unrelated texts cost
-    one pass. If the diff of the middle exceeds its budget the middle stays
-    unpaired and mentions there fall back to exact search.
+    A run ``(i, j, size)`` pairs ``a[i + t]`` with ``b[j + t]`` for ``t <
+    size``. The common prefix and suffix pair directly; tokens absent from
+    the other side cannot pair and are left out of the diff, so unrelated
+    texts cost one pass. If the diff of the middle exceeds its budget the
+    middle stays unpaired and mentions there fall back to exact search.
     """
     n, m = len(a), len(b)
-    head = 0
-    while head < n and head < m and a[head] == b[head]:
-        head += 1
-    tail = 0
-    while tail < n - head and tail < m - head and a[n - 1 - tail] == b[m - 1 - tail]:
-        tail += 1
-    shared = set(a[head : n - tail]).intersection(b[head : m - tail])
-    keep_a = [i for i in range(head, n - tail) if a[i] in shared]
-    keep_b = [j for j in range(head, m - tail) if b[j] in shared]
-    snakes = _myers_snakes([a[i] for i in keep_a], [b[j] for j in keep_b]) or ()
-    middle = [zip(keep_a[x : x + size], keep_b[y : y + size]) for x, y, size in snakes]
-    suffix = zip(range(n - tail, n), range(m - tail, m))
-    return list(chain(zip(range(head), range(head)), *middle, suffix))
+    head = next(compress(count(), map(ne, a, b)), min(n, m))
+    ends = map(ne, islice(reversed(a), n - head), islice(reversed(b), m - head))
+    tail = next(compress(count(), ends), min(n, m) - head)
+    mid_a, mid_b = a[head : n - tail], b[head : m - tail]
+    shared = set(mid_a).intersection(mid_b)
+    in_a, in_b = list(map(shared.__contains__, mid_a)), list(map(shared.__contains__, mid_b))
+    # Per token left out, the count of kept tokens before it.
+    out_a = array("q", map(sub, compress(count(), map(not_, in_a)), count()))
+    out_b = array("q", map(sub, compress(count(), map(not_, in_b)), count()))
+    snakes = _myers_snakes(list(compress(mid_a, in_a)), list(compress(mid_b, in_b))) or ()
+    runs = [(0, 0, head)] if head else []
+    for x, y, size in snakes:
+        # A snake breaks where a token was left out between two of its pairs;
+        # the kept token at position k follows bisect_right(out, k) left out.
+        cuts = {k - x for k in out_a[bisect_right(out_a, x) : bisect_left(out_a, x + size)]}
+        cuts.update(k - y for k in out_b[bisect_right(out_b, y) : bisect_left(out_b, y + size)])
+        for first, stop in pairwise([0, *sorted(cuts), size] if size else ()):
+            i = head + x + first + bisect_right(out_a, x + first)
+            j = head + y + first + bisect_right(out_b, y + first)
+            runs.append((i, j, stop - first))
+    return [*runs, (n - tail, m - tail, tail)] if tail else runs
+
+
+def _matching_blocks(a: str, b: str) -> list[tuple[int, int, int]]:
+    """difflib's matching blocks of two non-empty strings, sentinel included;
+    where one side contains the other, the longest and earliest block is all
+    of the shorter side at its first occurrence, and ``str.find`` gives it."""
+    if (at := b.find(a)) != -1:
+        return [(0, at, len(a)), (len(a), len(b), 0)]
+    if (at := a.find(b)) != -1:
+        return [(at, 0, len(b)), (len(a), len(b), 0)]
+    return difflib.SequenceMatcher(None, a, b, autojunk=False).get_matching_blocks()
 
 
 def _gap_segments(
@@ -184,10 +210,9 @@ def _gap_segments(
         return [(s_lo, s_hi, o_lo, o_hi)]
     # Character-level refinement inside the gap: equal blocks map exactly,
     # the fuzz in between maps proportionally.
-    matcher = difflib.SequenceMatcher(None, gap_s, gap_o, autojunk=False)
     segments: list[_Segment] = []
     prev_a = prev_b = 0
-    for a, b, size in matcher.get_matching_blocks():
+    for a, b, size in _matching_blocks(gap_s, gap_o):
         if a > prev_a:
             segments.append((s_lo + prev_a, s_lo + a, o_lo + prev_b, o_lo + b))
         if size:
@@ -216,17 +241,33 @@ def _merge_runs(pieces: list[_Segment]) -> tuple[_Segment, ...]:
     return tuple(segments)
 
 
-def _split_tokens(text: str) -> tuple[list[str], list[int], list[int], list[str]]:
-    """Tokens, their start and end offsets, and the whitespace after each.
+def _split_tokens(text: str) -> tuple[list[str], list[str], int]:
+    """Tokens, the whitespace after each, and the offset of the first token.
 
-    One ``re.split`` and one running sum build every list in C.
+    ``str.split()`` splits where ``\\s`` matches, at ``str.isspace``. Only a
+    text other than its tokens joined by single spaces takes a ``re.split``
+    as well, for its whitespace.
     """
+    words = text.split()
+    if " ".join(words) == text:
+        return words, [" "] * (len(words) - 1), 0
     parts = _SPACE_RE.split(text)  # token, whitespace, ..., token
-    bounds = list(accumulate(map(len, parts), initial=0))
-    # Only the first and the last token can be empty.
-    lo = 0 if parts[0] else 1
-    hi = len(parts) // 2 + (1 if parts[-1] else 0)
-    return parts[::2][lo:hi], bounds[::2][lo:hi], bounds[1::2][lo:hi], parts[1::2][lo:]
+    # The first part is empty exactly when the text starts with whitespace.
+    return words, parts[1::2][0 if parts[0] else 1 :], 0 if parts[0] else len(parts[1])
+
+
+def _token_starts(words: list[str], spaces: list[str], first: int) -> Callable[[int], int]:
+    """The offset of token ``k``, for ``k`` never below the last one asked:
+    each call adds the lengths passed since, summed in C by ``str.join``."""
+    at, offset = 0, first
+
+    def token_start(k: int) -> int:
+        nonlocal at, offset
+        offset += len("".join(words[at:k])) + len("".join(spaces[at:k]))
+        at = k
+        return offset
+
+    return token_start
 
 
 def align_texts(stripped: str, original: str) -> AlignmentMap:
@@ -243,23 +284,21 @@ def align_texts(stripped: str, original: str) -> AlignmentMap:
     """
     if stripped == original:
         return AlignmentMap(((0, len(stripped), 0, len(original)),) if stripped else ())
-    words_s, starts_s, ends_s, spaces_s = _split_tokens(stripped)
-    words_o, starts_o, ends_o, spaces_o = _split_tokens(original)
-    pairs = _common_token_pairs(words_s, words_o)
-    # A run ends before pair n unless pair n continues the diagonal of pair
-    # n - 1 across equal whitespace.
-    breaks = [
-        n
-        for n, ((i, j), (next_i, next_j)) in enumerate(zip(pairs, pairs[1:]), 1)
-        if next_i != i + 1 or next_j != j + 1 or spaces_s[i] != spaces_o[j]
-    ]
+    words_s, spaces_s, first_s = _split_tokens(stripped)
+    words_o, spaces_o, first_o = _split_tokens(original)
+    start_s = _token_starts(words_s, spaces_s, first_s)
+    start_o = _token_starts(words_o, spaces_o, first_o)
     pieces: list[_Segment] = []
     prev_s = prev_o = 0
-    for first, stop in zip([0, *breaks], [*breaks, len(pairs)] if pairs else []):
-        (i, j), (last_i, last_j) = pairs[first], pairs[stop - 1]
-        pieces += _gap_segments(stripped, original, prev_s, starts_s[i], prev_o, starts_o[j])
-        prev_s, prev_o = ends_s[last_i], ends_o[last_j]
-        pieces.append((starts_s[i], prev_s, starts_o[j], prev_o))
+    for i, j, size in _common_token_pairs(words_s, words_o):
+        # A run of pairs also breaks after a token followed by unequal whitespace.
+        differ = map(ne, spaces_s[i : i + size - 1], spaces_o[j : j + size - 1])
+        for first, stop in pairwise(chain((0,), compress(range(1, size), differ), (size,))):
+            lo_s, lo_o = start_s(i + first), start_o(j + first)
+            pieces += _gap_segments(stripped, original, prev_s, lo_s, prev_o, lo_o)
+            prev_s = start_s(i + stop - 1) + len(words_s[i + stop - 1])
+            prev_o = start_o(j + stop - 1) + len(words_o[j + stop - 1])
+            pieces.append((lo_s, prev_s, lo_o, prev_o))
     pieces += _gap_segments(stripped, original, prev_s, len(stripped), prev_o, len(original))
     return AlignmentMap(_merge_runs(pieces))
 
@@ -375,16 +414,15 @@ def parse_inline(
     echo is aligned against the original and each span is kept only where
     it covers its mention verbatim; otherwise it is relocated by exact
     substring search or dropped with a warning. Never raises on model
-    output, only on misuse (an empty delimiter, or delimiters with a
-    multi-label schema).
+    output, only on misuse (delimiters that are not two non-empty strings,
+    or delimiters with a multi-label schema).
     """
-    if delimiters is not None and not all(delimiters):
-        raise ConfigError("delimiters must be a pair of non-empty strings")
-    if delimiters is not None and len(schema) != 1:
-        raise ConfigError(
-            "custom delimiters require a single-label schema, "
-            f"got {list(schema.labels)}"
-        )
+    if delimiters is not None:
+        delimiters = check_delimiters(delimiters)
+        if len(schema) != 1:
+            raise ConfigError(
+                f"custom delimiters require a single-label schema, got {list(schema.labels)}"
+            )
     warnings: list[str] = []
     stripped, events = _scan_tags(completion, schema.labels, delimiters)
     spans = _pair_tag_events(events, warnings)

@@ -264,9 +264,13 @@ class TestNerConfig:
         config = NerConfig(method="multi_turn", delimiters=("@@", "##"))
         assert config.delimiters == ("@@", "##")
 
+    def test_delimiters_list_becomes_a_tuple(self):
+        config = NerConfig(method="multi_turn", delimiters=["@@", "##"])
+        assert config.delimiters == ("@@", "##")
+
     @pytest.mark.parametrize(
-        "delimiters", [("@@",), ("@@", "##", "%%"), ("@@", ""), ("@@", 5)],
-        ids=["one", "three", "empty", "non-string"],
+        "delimiters", [("@@",), ("@@", "##", "%%"), ("@@", ""), ("@@", 5), 5],
+        ids=["one", "three", "empty", "non-string", "not a sequence"],
     )
     def test_malformed_delimiters_rejected(self, delimiters):
         with pytest.raises(ConfigError, match="delimiters must be a pair of non-empty strings"):

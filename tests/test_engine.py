@@ -19,6 +19,7 @@ from chatner import (
     NotContextualizedError,
     ParseError,
     RateLimitError,
+    TemplateError,
     ZeroShotNer,
 )
 from chatner.client import BackendConfig, MockBackend
@@ -243,8 +244,11 @@ class TestContextualize:
         assert model.templates_ is templates
 
     def test_templates_of_another_type_rejected(self):
-        with pytest.raises(ConfigError, match="templates must be a PromptTemplateSet.* got int"):
-            ZeroShotNer(templates=42).contextualize(SCHEMA)
+        # The template set states the rule; falsy values are not read as None.
+        for templates in (42, [], 0):
+            name = type(templates).__name__
+            with pytest.raises(TemplateError, match=f"^templates must be a mapping, got {name}$"):
+                ZeroShotNer(templates=templates).contextualize(SCHEMA)
 
 
 class TestPredictOneSingleTurn:

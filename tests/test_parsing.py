@@ -6,6 +6,7 @@ import difflib
 import random
 import re
 import time
+import tracemalloc
 from bisect import bisect_right
 
 import pytest
@@ -35,6 +36,11 @@ def country_schema():
     return EntitySchema({"person": "People.", "country": "Countries."})
 
 
+def _pairs(runs):
+    """The index pairs of ``_common_token_pairs``' runs, one per pair."""
+    return [(i + t, j + t) for i, j, size in runs for t in range(size)]
+
+
 def _per_token_segments(stripped, original):
     """The previous alignment builder, kept as the reference.
 
@@ -46,8 +52,8 @@ def _per_token_segments(stripped, original):
         return [(0, len(stripped), 0, len(original))] if stripped else []
     tokens_s = list(re.finditer(r"\S+", stripped))
     tokens_o = list(re.finditer(r"\S+", original))
-    pairs = parsing._common_token_pairs(
-        [m.group() for m in tokens_s], [m.group() for m in tokens_o]
+    pairs = _pairs(
+        parsing._common_token_pairs([m.group() for m in tokens_s], [m.group() for m in tokens_o])
     )
     segments = []
 
@@ -194,8 +200,17 @@ class TestAlignTexts:
         assert amap.segments == parsing._merge_runs(reference)
 
 
+def _regex_split_tokens(text):
+    """The previous split, the reference: tokens and whitespace from one
+    ``re.split``, and the offset of the first token."""
+    parts = re.split(r"(\s+)", text)
+    lo = 0 if parts[0] else 1
+    hi = len(parts) // 2 + (1 if parts[-1] else 0)
+    return parts[::2][lo:hi], parts[1::2][lo:], len(parts[1]) if lo and len(parts) > 1 else 0
+
+
 class TestSplitTokens:
-    """Tokens, offsets and whitespace from one split, against ``\\S+`` spans."""
+    """Tokens, whitespace and offsets from ``str.split``, against ``\\S+``."""
 
     @given(
         st.text(
@@ -209,17 +224,68 @@ class TestSplitTokens:
     @settings(max_examples=500, deadline=None)
     @example("")
     @example("   ")
-    @example(" a")
-    @example("a ")
     @example(" \x1ca\x85b\xa0\u3000c\x1f ")
+    # Leading and trailing space, a double space, a tab, U+00A0, U+2028.
+    @example(" a b ")
+    @example("a  b")
+    @example("a\tb")
+    @example("a\xa0b")
+    @example("a\u2028b")
     def test_tokens_are_the_non_whitespace_runs(self, text):
-        words, starts, ends, spaces = parsing._split_tokens(text)
+        words, spaces, first = parsing._split_tokens(text)
         spans = [m.span() for m in re.finditer(r"\S+", text)]
-        assert list(zip(starts, ends)) == spans
         assert words == [text[lo:hi] for lo, hi in spans]
         assert spaces[: len(words) - 1] == [
-            text[end:start] for end, start in zip(ends, starts[1:])
+            text[end:start] for (_, end), (start, _) in zip(spans, spans[1:])
         ]
+        token_start = parsing._token_starts(words, spaces, first)
+        assert [token_start(k) for k in range(len(words))] == [lo for lo, _ in spans]
+        # Skipping tokens, or asking for one twice, keeps the count.
+        token_start = parsing._token_starts(words, spaces, first)
+        assert [token_start(k) for k in range(0, len(words), 3) for _ in (0, 1)] == [
+            lo for lo, _ in spans[::3] for _ in (0, 1)
+        ]
+        assert (words, spaces, first) == _regex_split_tokens(text)
+
+    @given(st.lists(st.text(st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc"))), max_size=20))
+    @settings(max_examples=300, deadline=None)
+    @example(["a"])
+    @example([])
+    def test_single_spaced_text_splits_without_the_regex(self, words):
+        text = " ".join(word for word in words if word and not any(map(str.isspace, word)))
+        expected = _regex_split_tokens(text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parsing, "_SPACE_RE", None)  # any use of it fails
+            assert parsing._split_tokens(text) == expected
+
+    def test_isspace_agrees_with_backslash_s_on_every_code_point(self):
+        # str.split() splits at str.isspace; the regex path at \s.
+        every = "".join(map(chr, range(0x110000)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+
+contained_pairs = st.tuples(
+    st.text("ab ", min_size=1, max_size=8), st.text("ab ", max_size=12), st.text("ab ", max_size=12)
+).map(lambda parts: (parts[0], parts[1] + parts[0] + parts[2]))
+
+
+class TestMatchingBlocks:
+    """Where one side contains the other, one ``str.find`` gives the blocks."""
+
+    @given(
+        st.one_of(
+            contained_pairs,
+            st.tuples(st.text("ab ", min_size=1, max_size=12), st.text("ab ", min_size=1, max_size=12)),
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=1000, deadline=None)
+    @example((" ", " also "), False)
+    @example((" ", " also "), True)
+    def test_blocks_are_difflibs(self, sides, swap):
+        a, b = sides[::-1] if swap else sides
+        expected = difflib.SequenceMatcher(None, a, b, autojunk=False).get_matching_blocks()
+        assert parsing._matching_blocks(a, b) == [tuple(block) for block in expected]
 
 
 def _lcs_length(a, b):
@@ -247,7 +313,9 @@ class TestCommonTokenPairs:
     @settings(max_examples=300, deadline=None)
     def test_pairs_form_a_longest_common_subsequence(self, sides):
         a, b = sides
-        pairs = parsing._common_token_pairs(a, b)
+        runs = parsing._common_token_pairs(a, b)
+        assert all(size > 0 for _, _, size in runs)
+        pairs = _pairs(runs)
         assert all(a[i] == b[j] for i, j in pairs)
         assert all(i < k and j < l for (i, j), (k, l) in zip(pairs, pairs[1:]))
         assert len(pairs) == _lcs_length(a, b)
@@ -269,13 +337,13 @@ class TestCommonTokenPairs:
     def test_unshared_tokens_spend_no_budget(self):
         a = [f"s{i}" for i in range(3_000)] + ["Lima"] + [f"t{i}" for i in range(3_000)]
         b = [f"o{i}" for i in range(3_000)] + ["Lima"] + [f"p{i}" for i in range(3_000)]
-        assert parsing._common_token_pairs(a, b) == [(3_000, 3_000)]
+        assert parsing._common_token_pairs(a, b) == [(3_000, 3_000, 1)]
 
     def test_exhausted_budget_leaves_the_middle_unpaired(self, monkeypatch):
         monkeypatch.setattr(parsing, "_DIFF_BUDGET", 0)
         a = "p x m y q".split()
         b = "p m q".split()
-        assert parsing._common_token_pairs(a, b) == [(0, 0), (4, 2)]
+        assert parsing._common_token_pairs(a, b) == [(0, 0, 1), (4, 2, 1)]
 
     def test_mention_in_an_unpaired_gap_still_relocates(self, monkeypatch):
         schema = EntitySchema({"location": "Places."})
@@ -321,6 +389,22 @@ class TestParseInline:
         schema = EntitySchema({"x": "Anything."})
         with pytest.raises(ConfigError, match="pair of non-empty strings"):
             parse_inline("a]b", "ab", schema, delimiters)
+
+    @pytest.mark.parametrize(
+        "delimiters", [("[",), ("[", "]", "/"), ("[", 5), 5],
+        ids=["one", "three", "non-string", "not a sequence"],
+    )
+    def test_malformed_delimiters_rejected(self, delimiters):
+        # The same rule, and message, as NerConfig's.
+        schema = EntitySchema({"x": "Anything."})
+        with pytest.raises(ConfigError, match="^delimiters must be a pair of non-empty strings$"):
+            parse_inline("[a] b", "a b", schema, delimiters)
+
+    def test_delimiters_may_be_any_two_item_sequence(self):
+        schema = EntitySchema({"x": "Anything."})
+        doc, report = parse_inline("[a] b", "a b", schema, ["[", "]"])
+        assert doc.annotations == {Annotation(0, 1, "x")}
+        assert report.warnings == ()
 
     def test_identical_open_close_delimiters(self):
         schema = EntitySchema({"location": "Places."})
@@ -608,11 +692,12 @@ class TestScanTags:
             )
 
 
-def _million_one_char_tokens():
+def _one_char_tokens(count=1_000_000):
     # A tag pair every ten tokens; the echo has a typo every 100,000 tokens
-    # and a doubled space every 1,000, so the pairs form about 1,000 runs.
+    # and a doubled space every 1,000, so the pairs form about count / 1,000
+    # runs.
     rng = random.Random(11)
-    tokens = [rng.choice("abcdefghij") for _ in range(1_000_000)]
+    tokens = [rng.choice("abcdefghij") for _ in range(count)]
     echo = [
         ("  " if i % 1_000 == 1 else " ")
         + ("<x>{}</x>" if i % 10 == 0 else "{}").format("z" if i % 100_000 == 500 else tok)
@@ -632,7 +717,7 @@ ADVERSARIAL_ECHOES = {
         "<x>" + "q" * 100_000 + "</x>",
         "q" * 99_999 + "r",
     ),
-    "1,000,000 one-character tokens": _million_one_char_tokens,
+    "1,000,000 one-character tokens": _one_char_tokens,
 }
 
 
@@ -705,6 +790,59 @@ class TestAdversarialSizes:
             ("stray closing tag for 'LOC' ignored",) * n
             + ("unmatched opening tag for 'PER' dropped",) * n
         )
+
+
+class TestAlignmentMemory:
+    """Alignment keeps a few pointers per token, and no Python int per offset."""
+
+    # tracemalloc's peak inside align_texts on 200,000 one-character tokens
+    # is 11.3 MB on CPython 3.11; per-token offset lists and pair tuples took
+    # it to 66 MB before. The bound leaves about twice the measured peak.
+    PEAK_LIMIT_MB = 24
+
+    def test_peak_memory_within_bound(self):
+        completion, original = _one_char_tokens(200_000)
+        stripped = completion.replace("<x>", "").replace("</x>", "")
+        tracemalloc.start()
+        try:
+            amap = align_texts(stripped, original)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert amap.segments
+        assert peak < self.PEAK_LIMIT_MB * 1e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestWhatTheBenchmarkReads:
+    """``perfbench/tracing.py`` times ``parsing.align_texts`` by wrapping the
+    module global, and counts repairs by phrases in the warnings."""
+
+    SCHEMA = EntitySchema({"x": "Xs."})
+
+    def test_parse_inline_aligns_once_through_the_module_global(self, monkeypatch):
+        calls = []
+
+        def counting(stripped, original):
+            calls.append((stripped, original))
+            return align_texts(stripped, original)
+
+        monkeypatch.setattr(parsing, "align_texts", counting)
+        parse_inline("<x>a</x> b c", "a b c d", self.SCHEMA)
+        assert calls == [("a b c", "a b c d")]
+
+    @pytest.mark.parametrize(
+        "completion, original, phrase",
+        [
+            ("a b c <x>Lima</x>", "Lima a b c", "relocated by exact search"),
+            ("<x>Quito</x> is far", "Lima is far", "not found in the original text"),
+            ("<x></x>Lima is far", "Lima is far", "tag pair dropped"),
+        ],
+        ids=["relocated", "not found", "empty pair"],
+    )
+    def test_repair_warnings_keep_their_phrases(self, completion, original, phrase):
+        _, report = parse_inline(completion, original, self.SCHEMA)
+        (warning,) = report.warnings
+        assert phrase in warning
 
 
 class TestInlineRoundTrip:

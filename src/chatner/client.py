@@ -18,7 +18,7 @@ import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Protocol
+from typing import Any, BinaryIO, Protocol
 
 from .domain import read_json_object
 from .errors import (
@@ -134,61 +134,48 @@ def build_request_body(
     }
 
 
+# http.client's bounds on an untrusted reply.
+_MAX_LINE = 65_536
+_MAX_HEADERS = 100
+_READ_PIECE = 1 << 20
+
+
 @functools.cache
-def _opener():
-    """Built at the first request, which loads the HTTP stack and reads the
-    proxy variables and the CA store."""
+def _network() -> tuple[dict[str, str], Any]:
+    """The proxy variables and the CA store, read at the first request."""
     import ssl
     import urllib.request
 
-    class _NoRedirect(urllib.request.HTTPRedirectHandler):
-        # Following a redirect would resend the API key to wherever it points.
-        def redirect_request(self, *args: Any) -> None:
-            return None
-
-    context = ssl.create_default_context()
-    return urllib.request.build_opener(
-        _NoRedirect, urllib.request.HTTPSHandler(context=context)
-    )
+    return urllib.request.getproxies(), ssl.create_default_context()
 
 
 class HttpBackend:
     """Single-attempt client for any OpenAI-compatible chat-completions API.
 
-    Each request opens and closes its own connection.
+    Each request opens its own connection, sends ``Connection: close`` and
+    reads the reply until it ends. Redirects are not followed: they would
+    resend the API key to wherever they point.
     """
 
     def complete(self, conversation: Sequence[_Message], config: BackendConfig) -> str:
-        import http.client
-        import urllib.error
-        import urllib.request
-
         url = config.base_url.rstrip("/") + "/chat/completions"
         headers = {"Content-Type": "application/json"}
         api_key = config.resolve_api_key()
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         body = json.dumps(build_request_body(conversation, config)).encode("utf-8")
-        request = urllib.request.Request(url, data=body, headers=headers)
         try:
-            try:
-                response = _opener().open(request, timeout=config.timeout)
-            except urllib.error.HTTPError as exc:
-                response = exc
-            with response:
-                status, payload = response.status, response.read()
-                retry_after = response.headers.get("Retry-After")
-        except (OSError, http.client.HTTPException) as exc:
-            if isinstance(getattr(exc, "reason", exc), TimeoutError):
-                raise BackendTimeoutError(f"no answer within {config.timeout}s") from exc
+            status, reply_headers, payload = _post(url, headers, body, config.timeout)
+        except TimeoutError as exc:
+            raise BackendTimeoutError(f"no answer within {config.timeout}s") from exc
+        except (OSError, ValueError) as exc:
             raise BackendConnectionError(f"cannot reach {url}: {exc}") from exc
-        except ValueError as exc:  # a header value http.client refuses to send
-            raise BackendError(f"request to {url} failed: {exc}") from exc
         if status in (401, 403):
             raise AuthenticationError(f"backend rejected credentials (HTTP {status})")
         if status == 429:
             raise RateLimitError(
-                "backend rate limit hit (HTTP 429)", _retry_after_seconds(retry_after)
+                "backend rate limit hit (HTTP 429)",
+                _retry_after_seconds(reply_headers.get("retry-after")),
             )
         if status >= 500:
             raise ServerError(f"backend server error (HTTP {status})")
@@ -209,6 +196,149 @@ class HttpBackend:
         if not isinstance(content, str):
             raise MalformedResponseError("completion content is not a string")
         return content
+
+
+def _post(
+    url: str, headers: dict[str, str], body: bytes, timeout: float
+) -> tuple[int, dict[str, str], bytes]:
+    """One HTTP/1.1 POST on a connection of its own: status, headers (names in
+    lower case) and body. A request that cannot be sent as given is a
+    BackendError before any byte leaves; a reply that breaks the protocol or
+    its bounds is a ValueError or an OSError."""
+    import socket
+    import urllib.parse
+
+    proxies, context = _network()
+    parts = urllib.parse.urlsplit(url)
+    https = parts.scheme == "https"
+    host, port = parts.hostname or "", parts.port or (443 if https else 80)
+    authority = parts.netloc.rpartition("@")[2]
+    target = parts.path + (f"?{parts.query}" if parts.query else "")
+    proxy = _proxy(proxies.get(parts.scheme), authority, port)
+    address, tunnel = proxy[0] if proxy else (host, port), b""
+    if proxy and https:
+        hostport = authority if parts.port else f"{authority}:{port}"
+        tunnel = _head(f"CONNECT {hostport}", {"Host": hostport, **proxy[1]})
+    elif proxy:
+        target, headers = f"http://{authority}{target}", {**headers, **proxy[1]}
+    request = _head(
+        f"POST {target}",
+        {"Host": authority, "User-Agent": "chatner", **headers,
+         "Content-Length": str(len(body)), "Accept-Encoding": "identity",
+         "Connection": "close"},
+    ) + body
+    with socket.create_connection(address, timeout) as sock:
+        if tunnel:
+            sock.sendall(tunnel)
+            with sock.makefile("rb") as reply:
+                status, _ = _read_head(reply)
+            if status != 200:
+                raise ConnectionError(f"the proxy refused the tunnel (HTTP {status})")
+        if https:
+            sock = context.wrap_socket(sock, server_hostname=host)
+        with sock, sock.makefile("rb") as reply:
+            sock.sendall(request)
+            status, reply_headers = _read_head(reply)
+            return status, reply_headers, _read_body(reply, reply_headers)
+
+
+def _proxy(
+    proxy: str | None, authority: str, port: int
+) -> tuple[tuple[str, int], dict[str, str]] | None:
+    """The address of ``proxy`` and the headers it needs, or None when no
+    proxy is set or NO_PROXY, read on every call, names the host."""
+    if not proxy:
+        return None
+    import base64
+    import urllib.parse
+    import urllib.request
+
+    if urllib.request.proxy_bypass(authority):
+        return None
+    parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    headers = {}
+    if parts.username and parts.password:
+        credentials = ":".join(map(urllib.parse.unquote, (parts.username, parts.password)))
+        headers["Proxy-Authorization"] = f"Basic {base64.b64encode(credentials.encode()).decode()}"
+    return (parts.hostname or "", parts.port or port), headers
+
+
+def _head(request_line: str, headers: dict[str, str]) -> bytes:
+    """A request line and its headers, checked before anything is sent."""
+    for value in (request_line, *headers.values()):
+        if "\r" in value or "\n" in value or "\0" in value:
+            # The value is left out of the message: it may be the API key.
+            raise BackendError("cannot send a request line or header that holds CR, LF or NUL")
+    lines = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+    try:
+        return f"{request_line} HTTP/1.1\r\n{lines}\r\n".encode("latin-1")
+    except UnicodeEncodeError as exc:
+        raise BackendError(f"cannot send a header that is not latin-1: {exc}") from None
+
+
+def _read_line(reply: BinaryIO) -> bytes:
+    line = reply.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ValueError(f"a reply line is longer than {_MAX_LINE} bytes")
+    if not line:
+        raise ConnectionError("the server closed the connection before the reply ended")
+    return line
+
+
+def _read_head(reply: BinaryIO) -> tuple[int, dict[str, str]]:
+    """The status and the headers of the final reply, past any 1xx."""
+    while True:
+        line = _read_line(reply)
+        version, _, rest = line.partition(b" ")
+        code = rest[:3]
+        if not (version.startswith(b"HTTP/") and code.isdigit() and code >= b"100"
+                and rest[3:4].isspace()):
+            raise ValueError(f"bad status line {line[:80]!r}")
+        headers: dict[str, str] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = _read_line(reply)
+            if not line.strip():
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise ValueError(f"the reply has more than {_MAX_HEADERS} headers")
+        if not code.startswith(b"1"):
+            return int(code), headers
+
+
+def _read_body(reply: BinaryIO, headers: dict[str, str]) -> bytes:
+    """Chunked if Transfer-Encoding says so, else Content-Length bytes, else
+    everything until the server closes."""
+    if "chunked" in headers.get("transfer-encoding", "").lower():
+        chunks = []
+        while size := int(_read_line(reply).split(b";")[0], 16):
+            if size < 0:
+                raise ValueError("negative chunk size")
+            chunks.append(_read_exactly(reply, size))
+            _read_line(reply)
+        while _read_line(reply).strip():  # trailers
+            pass
+        return b"".join(chunks)
+    length = headers.get("content-length")
+    if length is None:
+        return reply.read()
+    if not (length.isascii() and length.isdigit()):
+        raise ValueError(f"bad Content-Length {length[:40]!r}")
+    return _read_exactly(reply, int(length))
+
+
+def _read_exactly(reply: BinaryIO, size: int) -> bytes:
+    """``size`` bytes, read a bounded piece at a time: a size the server
+    states is never allocated up front."""
+    pieces, left = [], size
+    while left:
+        piece = reply.read(min(left, _READ_PIECE))
+        if not piece:
+            raise ConnectionError(f"reply cut short: {size - left} of {size} bytes")
+        pieces.append(piece)
+        left -= len(piece)
+    return b"".join(pieces)
 
 
 def _retry_after_seconds(value: str | None) -> float | None:

@@ -517,11 +517,12 @@ def parse_json_answer(
     such as ``{label: mentions}``, say), the first balanced block after it
     is decoded instead, and no further one. Each mention is located by
     exact, case-sensitive search in the original text, and every
-    non-overlapping occurrence is annotated. Mentions that fail verbatim
-    are retried with surrounding whitespace trimmed, then dropped with a
-    warning. Unknown labels are dropped with a warning. A missing or
-    undecodable JSON block raises ParseError, also when it nests too deep
-    to decode.
+    non-overlapping occurrence is annotated. A mention listed again under
+    the same label is skipped, so it is searched and warned about once.
+    Mentions that fail verbatim are retried with surrounding whitespace
+    trimmed, then dropped with a warning. Unknown labels are dropped with a
+    warning. A missing or undecodable JSON block raises ParseError, also
+    when it nests too deep to decode.
     """
     block = extract_json_block(completion)
     if block is None:
@@ -548,10 +549,14 @@ def parse_json_answer(
         if not isinstance(value, list):
             warnings.append(f"value for label {key!r} is not a list; dropped")
             continue
+        seen: set[str] = set()
         for mention in value:
             if not isinstance(mention, str):
                 warnings.append(f"non-string mention {mention!r} for {key!r} dropped")
                 continue
+            if mention in seen:  # its spans are in already, or it failed already
+                continue
+            seen.add(mention)
             if not mention:
                 warnings.append(f"empty mention for {key!r} dropped")
                 continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import ssl
 import sys
 import threading
 import time
@@ -14,6 +15,8 @@ import pytest
 from chatner import AnnotatedDocument, Annotation, EntitySchema
 
 DATA_DIR = Path(__file__).parent / "data"
+# A self-signed certificate for 127.0.0.1 and localhost, valid until 2126.
+TLS_CERT, TLS_KEY = DATA_DIR / "tls" / "cert.pem", DATA_DIR / "tls" / "key.pem"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -85,13 +88,23 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             index = len(server.requests)
             server.requests.append(
                 {
+                    "method": self.command,
                     "path": self.path,
                     "authorization": self.headers.get("Authorization"),
+                    "proxy_authorization": self.headers.get("Proxy-Authorization"),
+                    "connection": self.headers.get("Connection"),
+                    "client": self.client_address,
                     "body": body,
                 }
             )
             entry = server.script[min(index, len(server.script) - 1)]
         if entry[0] == "close":
+            return
+        if entry[0] in ("raw", "chunked", "unsized", "continue"):
+            try:
+                self.wfile.write(_raw_reply(*entry))
+            except ConnectionError:  # the client gave up on a reply it refused
+                pass
             return
         if entry[0] == "sleep":
             time.sleep(entry[1])
@@ -115,8 +128,29 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         except ConnectionError:  # the client timed out and hung up first
             pass
 
+    # A proxy sees an https target as a CONNECT; it answers from the script too.
+    do_CONNECT = do_POST  # noqa: N815
+
     def log_message(self, *args):  # keep test output clean
         pass
+
+
+def _raw_reply(kind: str, payload) -> bytes:
+    """The bytes of a reply that http.server would not frame this way."""
+    if kind == "raw":
+        return payload
+    body = json.dumps(payload).encode("utf-8")
+    head = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    if kind == "chunked":
+        # The Content-Length is wrong on purpose: Transfer-Encoding wins.
+        head += b"Transfer-Encoding: chunked\r\nContent-Length: 1\r\n"
+        body = b"%x;ext=1\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n" % (
+            5, body[:5], len(body) - 5, body[5:]
+        )
+    elif kind == "continue":
+        head = b"HTTP/1.1 100 Continue\r\n\r\n" + head
+        head += b"Content-Length: %d\r\n" % len(body)
+    return head + b"\r\n" + body
 
 
 class ScriptedServer:
@@ -128,12 +162,22 @@ class ScriptedServer:
     ``("sleep", seconds)`` delays before a plain 200, ``("close", None)``
     hangs up without replying, and ``("truncated", payload)`` sends a 200
     whose Content-Length promises 100 bytes more than ``payload``, then
-    hangs up. The handler speaks HTTP/1.0, so every connection closes after
-    one reply. Received requests accumulate in ``requests``.
+    hangs up. ``("chunked", payload)`` sends a chunked 200 (with a wrong
+    Content-Length), ``("unsized", payload)`` a 200 with no length that ends
+    when the server closes, ``("continue", payload)`` a 100 Continue before
+    the 200, and ``("raw", bytes)`` exactly those bytes. The handler speaks
+    HTTP/1.0, so every connection closes after one reply. Received requests,
+    a proxy's CONNECT among them, accumulate in ``requests``. With ``tls``
+    the server speaks https with the certificate ``TLS_CERT``.
     """
 
-    def __init__(self):
+    def __init__(self, tls: bool = False):
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+        self._scheme = "https" if tls else "http"
+        if tls:
+            context = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
+            context.load_cert_chain(TLS_CERT, TLS_KEY)
+            self._httpd.socket = context.wrap_socket(self._httpd.socket, server_side=True)
         self._httpd.script = [(200, {"choices": [{"message": {"content": "ok"}}]})]
         self._httpd.requests = []
         self._httpd.lock = threading.Lock()
@@ -146,7 +190,7 @@ class ScriptedServer:
     @property
     def base_url(self) -> str:
         host, port = self._httpd.server_address
-        return f"http://{host}:{port}/v1"
+        return f"{self._scheme}://{host}:{port}/v1"
 
     @property
     def script(self) -> list:
@@ -171,5 +215,12 @@ class ScriptedServer:
 @pytest.fixture
 def http_server():
     server = ScriptedServer()
+    yield server
+    server.close()
+
+
+@pytest.fixture
+def https_server():
+    server = ScriptedServer(tls=True)
     yield server
     server.close()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import random
@@ -40,6 +41,7 @@ from chatner.errors import (
 
 CONVO = (ChatMessage("system", "sys"), ChatMessage("user", "hi"))
 SRC = Path(__file__).resolve().parents[1] / "src"
+TLS_CERT = Path(__file__).parent / "data" / "tls" / "cert.pem"  # the https_server's
 
 # Sends one request to a host that must not be resolved: every name lookup
 # other than the loopback address fails, so the check stays offline. The
@@ -80,7 +82,7 @@ def loaded():
 """
 HTTP_STACK = {
     "http.client", "ssl", "urllib.request", "email.parser", "concurrent.futures",
-    "requests", "urllib3",
+    "requests", "urllib3", "socket",
 }
 
 # Two threads send the first request of a fresh process at the same moment,
@@ -418,6 +420,106 @@ class TestTransportContract:
         out = run_python(FIRST_REQUESTS_PROBE.format(base_url=http_server.base_url))
         assert out == "['ok', 'ok']"
         assert len(http_server.requests) == 2
+
+
+OK_BODY = {"choices": [{"message": {"content": "ok"}}]}
+HEAD = b"HTTP/1.1 200 OK\r\n"
+# Replies at http.client's bounds: a 65,536-byte header line, and 100 headers.
+LONGEST_LINE = b"X-Long: " + b"a" * (65_536 - 10) + b"\r\n"
+MOST_HEADERS = b"X-Many: 1\r\n" * 100
+
+
+class TestHttpExchange:
+    """The one request and reply each call makes, byte by byte."""
+
+    def complete(self, server):
+        config = BackendConfig(base_url=server.base_url, api_key="k", timeout=10)
+        return HttpBackend().complete(CONVO, config)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ("chunked", OK_BODY),
+            ("unsized", OK_BODY),
+            ("continue", OK_BODY),
+            ("raw", HEAD + LONGEST_LINE + b"\r\n" + json.dumps(OK_BODY).encode()),
+            ("raw", HEAD + MOST_HEADERS + b"\r\n" + json.dumps(OK_BODY).encode()),
+        ],
+        ids=["chunked", "until-close", "100-continue", "longest-line", "most-headers"],
+    )
+    def test_reply_framings_read(self, http_server, entry):
+        http_server.script = [entry]
+        assert self.complete(http_server) == "ok"
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            HEAD + b"a" + LONGEST_LINE + b"\r\n{}",
+            HEAD + MOST_HEADERS + b"X-Many: 1\r\n\r\n{}",
+            b"garbage\r\n\r\n{}",
+            b"HTTP/1.1 20 OK\r\n\r\n{}",
+            HEAD + b"Content-Length: two\r\n\r\n{}",
+            HEAD + b"Content-Length: -2\r\n\r\n{}",
+            HEAD + b"Transfer-Encoding: chunked\r\n\r\nzz\r\n",
+            HEAD + b"Transfer-Encoding: chunked\r\n\r\n5\r\n{}",
+            HEAD,
+        ],
+        ids=["line-too-long", "too-many-headers", "garbage-status", "short-status",
+             "non-numeric-length", "negative-length", "bad-chunk-size", "chunk-cut-short",
+             "no-end-of-headers"],
+    )
+    def test_broken_framing_is_a_connection_error(self, http_server, raw):
+        http_server.script = [("raw", raw)]
+        with pytest.raises(BackendConnectionError):
+            self.complete(http_server)
+
+    def test_one_connection_per_request_each_closed(self, http_server):
+        for _ in range(3):
+            assert self.complete(http_server) == "ok"
+        assert [r["connection"] for r in http_server.requests] == ["close"] * 3
+        assert len({r["client"] for r in http_server.requests}) == 3
+
+    @pytest.mark.parametrize("api_key", ["k\0ey", "ключ"], ids=["nul", "not-latin-1"])
+    def test_unsendable_key_sends_nothing(self, http_server, api_key):
+        config = BackendConfig(base_url=http_server.base_url, api_key=api_key)
+        with pytest.raises(BackendError) as info:
+            HttpBackend().complete(CONVO, config)
+        assert type(info.value) is BackendError
+        assert api_key not in str(info.value)
+        assert http_server.requests == []
+
+    def test_https_verified_against_ssl_cert_file(self, https_server):
+        out = run_python(
+            FIRST_REQUESTS_PROBE.format(base_url=https_server.base_url),
+            SSL_CERT_FILE=str(TLS_CERT),
+        )
+        assert out == "['ok', 'ok']"
+        assert len(https_server.requests) == 2
+
+    def test_failed_tls_handshake_is_a_connection_error(self, https_server):
+        with pytest.raises(BackendConnectionError, match="CERTIFICATE_VERIFY_FAILED"):
+            self.complete(https_server)
+        assert https_server.requests == []
+
+    def test_https_through_a_proxy_asks_for_a_tunnel(self, http_server):
+        http_server.script = [(502, {"error": "no route"})]
+        host, port = http_server.base_url.split("/")[2].split(":")
+        probe = PROXY_PROBE.replace("http://example.invalid", "https://example.invalid")
+        out = run_python(probe, HTTPS_PROXY=f"http://{host}:{port}")
+        assert out == "BackendConnectionError"
+        assert [(r["method"], r["path"]) for r in http_server.requests] == [
+            ("CONNECT", "example.invalid:443")
+        ]
+
+    @pytest.mark.parametrize("scheme", ["http", "https"])
+    def test_proxy_credentials_sent_to_the_proxy(self, http_server, scheme):
+        http_server.script = [(502, {"error": "no route"})]
+        host, port = http_server.base_url.split("/")[2].split(":")
+        probe = PROXY_PROBE.replace("http://example.invalid", f"{scheme}://example.invalid")
+        run_python(probe, **{f"{scheme.upper()}_PROXY": f"http://ada:p%40ss@{host}:{port}"})
+        expected = "Basic " + base64.b64encode(b"ada:p@ss").decode()
+        assert [r["proxy_authorization"] for r in http_server.requests] == [expected]
+        assert http_server.requests[0]["authorization"] == (None if scheme == "https" else "Bearer k")
 
 
 class TestMockBackend:

@@ -766,6 +766,19 @@ class TestAdversarialSizes:
 
         self._timed("20,000 opening braces", parse)
 
+    def test_repeated_json_mention_within_bounds(self):
+        # One label listing "a" 8,000 times over "a " * 8,000: 0.03 s here
+        # (2-vCPU machine, also under -X dev), 220 s when every copy was
+        # searched and annotated again. The bound leaves about 30 times that.
+        n = 8_000
+        completion = '{"x": [' + ", ".join(['"a"'] * n) + "]}"
+        started = time.perf_counter()
+        doc, report = parse_json_answer(completion, "a " * n, self.SCHEMA)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1.0, f"{n:,} repeated mentions took {elapsed:.2f} s"
+        assert len(doc.annotations) == n
+        assert report.warnings == ()
+
     def test_unclosed_custom_delimiters_within_bounds(self):
         # A search for the close from every open runs to the end each time.
         n = 200_000
@@ -982,6 +995,16 @@ class TestParseJsonAnswer:
         )
         assert doc.annotations == {Annotation(4, 8, "location")}
         assert report.warnings == (warning,)
+
+    def test_repeated_mention_searched_and_warned_once(self, pl_schema):
+        completion = '{"person": ["Ana", ["x"], "Ana", ["x"], "Bo", "Bo"], "location": []}'
+        doc, report = parse_json_answer(completion, "Ana met Ana", pl_schema)
+        assert doc.annotations == {Annotation(0, 3, "person"), Annotation(8, 11, "person")}
+        assert report.warnings == (
+            "non-string mention ['x'] for 'person' dropped",
+            "non-string mention ['x'] for 'person' dropped",
+            "mention 'Bo' not found in the original text; dropped",
+        )
 
     def test_missing_object_raises(self, pl_schema):
         with pytest.raises(ParseError):

@@ -7,13 +7,12 @@ unusable schema, unreachable backend).
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import json
 import sys
 from pathlib import Path
-
-import click
 
 from . import __version__
 from .client import MockBackend
@@ -41,6 +40,8 @@ _SHORT = {
     "multi_turn_mode": {"step": "step_by_step", "final": "final_step"},
     "pos_mode": {"none": "none", "llm": "via_llm", "hook": "via_hook"},
 }
+_MATCHING = inspect.signature(evaluate_documents).parameters["matching"].default
+_SHOWN = "[default: %(default)s]"  # argparse fills in the flag's default
 
 
 def _load_hook(spec: str):
@@ -105,57 +106,35 @@ def _read_input_texts(path: str | None) -> list[str]:
     return texts
 
 
-def _short_choice(flag: str, name: str, help: str):
-    """A flag taking the short values of model parameter ``name``."""
-    short = _SHORT[name]
-    default = next(key for key, value in short.items() if value == _DEFAULTS[name])
-    return click.option(flag, name, type=click.Choice(sorted(short)),
-                        default=default, show_default=True, help=help)
-
-
-def model_options(require_schema: bool = True):
+def _add_model_flags(parser, require_schema: bool = True) -> None:
     """Flags shared by every subcommand that can build a model."""
-
-    def wrap(command):
-        options = [
-            click.option("--schema", "schema_path", required=require_schema,
-                         help="JSON file mapping entity labels to descriptions."),
-            click.option("--examples", "examples_path", default=None,
-                         help="JSON (list or lines) of annotated example records."),
-            _short_choice("--method", "method",
-                          "Prompt for all entities at once, or one per turn."),
-            _short_choice("--multi-mode", "multi_turn_mode",
-                          "Parse every turn, or only a final combined answer."),
-            click.option("--shape", "answer_shape", type=click.Choice(ANSWER_SHAPES),
-                         default=_DEFAULTS["answer_shape"], show_default=True,
-                         help="Expected answer shape."),
-            click.option("--delimiters", nargs=2, default=None,
-                         help="Custom open/close mention markers (multi-turn only)."),
-            _short_choice("--pos", "pos_mode",
-                          "Part-of-speech augmentation of the query text."),
-            click.option("--pos-hook", default=None,
-                         help="module:function returning (token, tag) pairs; "
-                              "used with --pos hook."),
-            click.option("--base-url", default=_DEFAULTS["base_url"], show_default=True),
-            click.option("--model", default=_DEFAULTS["model"], show_default=True),
-            click.option("--temperature", type=float, default=_DEFAULTS["temperature"],
-                         show_default=True),
-            click.option("--concurrency", "max_concurrency", type=int,
-                         default=_DEFAULTS["max_concurrency"], show_default=True,
-                         help="Maximum in-flight requests."),
-            click.option("--retries", "max_retries", type=int,
-                         default=_DEFAULTS["max_retries"], show_default=True,
-                         help="Maximum retries after a retryable backend failure."),
-            click.option("--backend", "backend_spec", default=None,
-                         help="mock:<script-file> for an offline scripted backend."),
-            click.option("--templates", default=None,
-                         help="JSON file of prompt template overrides."),
-        ]
-        for option in reversed(options):
-            command = option(command)
-        return command
-
-    return wrap
+    add = parser.add_argument
+    add("--schema", dest="schema_path", required=require_schema,
+        help="JSON file mapping entity labels to descriptions.")
+    add("--examples", dest="examples_path",
+        help="JSON (list or lines) of annotated example records.")
+    for flag, name, help in (
+        ("--method", "method", "Prompt for all entities at once, or one per turn."),
+        ("--multi-mode", "multi_turn_mode", "Parse every turn, or only a final combined answer."),
+        ("--pos", "pos_mode", "Part-of-speech augmentation of the query text."),
+    ):  # flags taking the short values of a model parameter
+        short = _SHORT[name]
+        default = next(key for key, value in short.items() if value == _DEFAULTS[name])
+        add(flag, dest=name, choices=sorted(short), default=default, help=f"{help} {_SHOWN}")
+    add("--pos-hook", help="module:function returning (token, tag) pairs; used with --pos hook.")
+    add("--shape", dest="answer_shape", choices=ANSWER_SHAPES,
+        default=_DEFAULTS["answer_shape"], help=f"Expected answer shape. {_SHOWN}")
+    add("--delimiters", nargs=2, help="Custom open/close mention markers (multi-turn only).")
+    add("--base-url", default=_DEFAULTS["base_url"], help=_SHOWN)
+    add("--model", default=_DEFAULTS["model"], help=_SHOWN)
+    add("--temperature", type=float, default=_DEFAULTS["temperature"], help=_SHOWN)
+    add("--concurrency", dest="max_concurrency", type=int,
+        default=_DEFAULTS["max_concurrency"], help=f"Maximum in-flight requests. {_SHOWN}")
+    add("--retries", dest="max_retries", type=int, default=_DEFAULTS["max_retries"],
+        help=f"Maximum retries after a retryable backend failure. {_SHOWN}")
+    add("--backend", dest="backend_spec",
+        help="mock:<script-file> for an offline scripted backend.")
+    add("--templates", help="JSON file of prompt template overrides.")
 
 
 def _build_model(
@@ -190,12 +169,14 @@ def _result_record(result) -> dict:
     return record
 
 
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    payload = "".join(line + "\n" for line in lines)
-    if path is None:
-        click.echo(payload, nl=False)
-    else:
-        Path(path).write_text(payload, encoding="utf-8")
+def _echo(text: str) -> None:
+    """Write to ``sys.stdout`` at call time; UTF-8 bytes where its encoding cannot hold it."""
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError:
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    sys.stdout.flush()
 
 
 def _finish_batch(results) -> None:
@@ -208,74 +189,28 @@ def _finish_batch(results) -> None:
         sys.exit(2)
 
 
-class _Cli(click.Group):
-    """The one place a failure becomes exit 1: a usage error, before or after
-    the command name, prints click's usage message, and a ChatnerError or
-    OSError prints "error: ...". With ``standalone_mode=False`` exceptions
-    reach the caller, as in click."""
-
-    def main(self, *args, standalone_mode: bool = True, **kwargs):
-        if not standalone_mode:
-            return super().main(*args, standalone_mode=False, **kwargs)
-        try:
-            sys.exit(super().main(*args, standalone_mode=False, **kwargs))
-        except click.ClickException as exc:  # usage errors among them
-            exc.show()
-        except (ChatnerError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-        except click.Abort:
-            click.echo("Aborted!", err=True)
-        sys.exit(1)
-
-
-@click.group(cls=_Cli)
-@click.version_option(version=__version__, prog_name="chatner")
-def main() -> None:
-    """Named entity recognition through chat-completion language models."""
-
-
-@main.command("annotate")
-@model_options()
-@click.option("--input", "input_path", default=None,
-              help="Input file, one document per line; default standard input.")
-@click.option("--output", "output_path", default=None,
-              help="Output file for JSON records; default standard output.")
 def annotate(input_path, output_path, **model_flags) -> None:
     """Annotate documents and emit one JSON record per input line."""
     model = _build_model(**model_flags)
     results = model.predict(_read_input_texts(input_path))
-    lines = [json.dumps(_result_record(result), ensure_ascii=False) for result in results]
-    _write_lines(output_path, lines)
+    payload = "".join(json.dumps(_result_record(result), ensure_ascii=False) + "\n"
+                      for result in results)
+    if output_path is None:
+        _echo(payload)
+    else:
+        Path(output_path).write_text(payload, encoding="utf-8")
     _finish_batch(results)
 
 
-@main.command("dump-prompt")
-@model_options()
-@click.option("--text", "text", default=None, help="The document to plan for.")
-@click.option("--input", "input_path", default=None,
-              help="Read the document from this file (first non-empty line).")
 def dump_prompt(text, input_path, **model_flags) -> None:
     """Print the exact conversation annotate would submit, without any request."""
     model = _build_model(**model_flags)
     if text is None:
-        candidates = _read_input_texts(input_path)
-        text = candidates[0] if candidates else ""
+        text = next(iter(_read_input_texts(input_path)), "")
     messages = model.plan_conversation(text)
-    click.echo("\n\n".join(f"[{m.role}]\n{m.content}" for m in messages))
+    _echo("\n\n".join(f"[{m.role}]\n{m.content}" for m in messages) + "\n")
 
 
-@main.command("evaluate")
-@model_options(require_schema=False)
-@click.option("--gold", "gold_path", required=True,
-              help="Gold-standard CoNLL file (token-per-line, NER tag last).")
-@click.option("--predictions", "predictions_path", default=None,
-              help="JSON (list or lines) of document records; omitted means "
-                   "annotate first.")
-@click.option("--matching", type=click.Choice(MATCHING_MODES),
-              default=inspect.signature(evaluate_documents).parameters["matching"].default,
-              show_default=True)
-@click.option("--output", "output_path", default=None,
-              help="Also write the report as JSON to this file.")
 def evaluate(gold_path, predictions_path, matching, output_path, **model_flags):
     """Score predictions against a gold CoNLL file and print the table."""
     results = None
@@ -290,11 +225,76 @@ def evaluate(gold_path, predictions_path, matching, output_path, **model_flags):
         results = model.predict([doc.text for doc in gold])
         predicted = [result.document for result in results]
     report = evaluate_documents(predicted, gold, matching=matching)
-    click.echo(report.to_table())
+    _echo(report.to_table() + "\n")
     if output_path is not None:
         Path(output_path).write_text(report.to_json() + "\n", encoding="utf-8")
     if results is not None:
         _finish_batch(results)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: 2 is left for runs in which some documents failed."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="chatner", description=_Main.__doc__.partition("\n")[0],
+                     allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"chatner, version {__version__}")
+    commands = parser.add_subparsers(dest="command")
+
+    def command(run, require_schema: bool = True):
+        sub = commands.add_parser(run.__name__.replace("_", "-"), help=run.__doc__,
+                                  description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        _add_model_flags(sub, require_schema)
+        return sub.add_argument
+
+    add = command(annotate)
+    add("--input", dest="input_path", help="Input file, one document per line; default stdin.")
+    add("--output", dest="output_path", help="Output file for JSON records; default stdout.")
+    add = command(dump_prompt)
+    add("--text", help="The document to plan for.")
+    add("--input", dest="input_path", help="The document is this file's first non-empty line.")
+    add = command(evaluate, require_schema=False)
+    add("--gold", dest="gold_path", required=True,
+        help="Gold-standard CoNLL file (token-per-line, NER tag last).")
+    add("--predictions", dest="predictions_path",
+        help="JSON (list or lines) of document records; omitted means annotate first.")
+    add("--matching", choices=MATCHING_MODES, default=_MATCHING, help=_SHOWN)
+    add("--output", dest="output_path", help="Also write the report as JSON to this file.")
+    return parser
+
+
+class _Main:
+    """Named entity recognition through chat-completion language models.
+
+    ``main(args)`` runs the console script. ``main.main(args, standalone_mode=False)``
+    runs it in process, and failures reach the caller; otherwise this is the
+    one place a failure becomes exit 1. A usage error prints argparse's usage
+    message, a ChatnerError or OSError "error: ...", and Ctrl-C "Aborted!"."""
+
+    def main(self, args: list[str] | None = None, standalone_mode: bool = True) -> None:
+        try:
+            parser = _parser()
+            flags = vars(parser.parse_args(args))
+            if flags.pop("command") is None:
+                parser.error("a command is required")
+            return flags.pop("run")(**flags)
+        except (ChatnerError, OSError, KeyboardInterrupt) as exc:
+            if not standalone_mode:
+                raise
+            interrupted = isinstance(exc, KeyboardInterrupt)
+            print("\nAborted!" if interrupted else f"error: {exc}", file=sys.stderr)
+        sys.exit(1)
+
+    __call__ = main
+
+
+main = _Main()
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ timeouts, and connection failures surface immediately.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 import os
@@ -42,7 +43,11 @@ JITTER = 0.2
 
 @dataclass(frozen=True)
 class BackendConfig:
-    """Connection settings for an OpenAI-compatible chat-completions API."""
+    """Connection settings for an OpenAI-compatible chat-completions API.
+
+    ``timeout`` bounds each request as a whole, in seconds: connecting, any
+    proxy tunnel, sending, and reading the reply to its last byte.
+    """
 
     base_url: str = "https://api.openai.com/v1"
     api_key: str | None = None
@@ -204,7 +209,8 @@ def _post(
     """One HTTP/1.1 POST on a connection of its own: status, headers (names in
     lower case) and body. A request that cannot be sent as given is a
     BackendError before any byte leaves; a reply that breaks the protocol or
-    its bounds is a ValueError or an OSError."""
+    its bounds is a ValueError or an OSError, and a request not done
+    ``timeout`` seconds after it started a TimeoutError."""
     import socket
     import urllib.parse
 
@@ -227,19 +233,45 @@ def _post(
          "Content-Length": str(len(body)), "Accept-Encoding": "identity",
          "Connection": "close"},
     ) + body
+    deadline = time.monotonic() + timeout
     with socket.create_connection(address, timeout) as sock:
         if tunnel:
+            sock.settimeout(_time_left(deadline))
             sock.sendall(tunnel)
-            with sock.makefile("rb") as reply:
-                status, _ = _read_head(reply)
+            status, _ = _read_head(io.BufferedReader(_DeadlineReader(sock, deadline)))
             if status != 200:
                 raise ConnectionError(f"the proxy refused the tunnel (HTTP {status})")
         if https:
+            sock.settimeout(_time_left(deadline))
             sock = context.wrap_socket(sock, server_hostname=host)
-        with sock, sock.makefile("rb") as reply:
+        with sock:
+            sock.settimeout(_time_left(deadline))
             sock.sendall(request)
+            reply = io.BufferedReader(_DeadlineReader(sock, deadline))
             status, reply_headers = _read_head(reply)
             return status, reply_headers, _read_body(reply, reply_headers)
+
+
+def _time_left(deadline: float) -> float:
+    """Seconds left before ``deadline``; a TimeoutError once none are."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("the request deadline passed")
+    return left
+
+
+class _DeadlineReader(io.RawIOBase):
+    """The bytes of a socket, each read waiting no longer than the time left."""
+
+    def __init__(self, sock, deadline: float):
+        self._sock, self._deadline = sock, deadline
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        self._sock.settimeout(_time_left(self._deadline))
+        return self._sock.recv_into(buffer)
 
 
 def _proxy(

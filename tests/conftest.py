@@ -1,12 +1,15 @@
-"""Shared fixtures: golden documents, schemas, and a local scripted HTTP server."""
+"""Shared fixtures: golden documents, schemas, an in-process runner of the
+``chatner`` command and a local scripted HTTP server."""
 
 from __future__ import annotations
 
+import io
 import json
 import ssl
 import sys
 import threading
 import time
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -27,6 +30,55 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance verdicts")
         for line in verdicts:
             terminalreporter.write_line(line)
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+class CliRunner:
+    """Runs the ``chatner`` command in process: ``invoke(main, argv, input=...)``
+    reads standard input from ``input`` (text or bytes) and captures both
+    outputs. Like a console, each stream has a ``.buffer``. An exception other
+    than SystemExit ends the run with exit code 1 and is kept in
+    ``exception``, as is a SystemExit with a non-zero code."""
+
+    def invoke(self, main, args, input: str | bytes = b"") -> CliResult:
+        data = input.encode("utf-8") if isinstance(input, str) else input
+        streams = [io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")]
+        streams += [io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2)]
+        saved = sys.stdin, sys.stdout, sys.stderr
+        sys.stdin, sys.stdout, sys.stderr = streams
+        exit_code, exception = 0, None
+        try:
+            main.main(args=list(args))
+        except SystemExit as exc:
+            exit_code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+            exception = exc if exit_code else None
+        except Exception as exc:
+            exit_code, exception = 1, exc
+        finally:
+            sys.stdin, sys.stdout, sys.stderr = saved
+        captured = []
+        for stream in streams[1:]:
+            stream.flush()
+            captured.append(stream.buffer.getvalue().decode("utf-8", "replace"))
+        for stream in streams:
+            stream.close()
+        return CliResult(exit_code, *captured, exception)
+
+
+@pytest.fixture
+def runner() -> CliRunner:
+    return CliRunner()
 
 
 @pytest.fixture
@@ -100,9 +152,11 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             entry = server.script[min(index, len(server.script) - 1)]
         if entry[0] == "close":
             return
-        if entry[0] in ("raw", "chunked", "unsized", "continue"):
+        if entry[0] in ("raw", "chunked", "unsized", "continue", "trickle", "continues"):
             try:
-                self.wfile.write(_raw_reply(*entry))
+                for position, piece in enumerate(_raw_reply(*entry)):
+                    time.sleep(0.05 if position else 0)
+                    self.wfile.write(piece)
             except ConnectionError:  # the client gave up on a reply it refused
                 pass
             return
@@ -135,12 +189,18 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         pass
 
 
-def _raw_reply(kind: str, payload) -> bytes:
-    """The bytes of a reply that http.server would not frame this way."""
+def _raw_reply(kind: str, payload) -> list[bytes]:
+    """The bytes of a reply that http.server would not frame this way, in
+    pieces to be sent 50 ms apart."""
     if kind == "raw":
-        return payload
+        return [payload]
+    if kind == "continues":  # for 10 s, or until the client hangs up
+        return [b"HTTP/1.1 100 Continue\r\n\r\n"] * 200
     body = json.dumps(payload).encode("utf-8")
     head = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    if kind == "trickle":
+        head += b"Content-Length: %d\r\n\r\n" % len(body)
+        return [head] + [body[i:i + 1] for i in range(len(body))]
     if kind == "chunked":
         # The Content-Length is wrong on purpose: Transfer-Encoding wins.
         head += b"Transfer-Encoding: chunked\r\nContent-Length: 1\r\n"
@@ -150,7 +210,7 @@ def _raw_reply(kind: str, payload) -> bytes:
     elif kind == "continue":
         head = b"HTTP/1.1 100 Continue\r\n\r\n" + head
         head += b"Content-Length: %d\r\n" % len(body)
-    return head + b"\r\n" + body
+    return [head + b"\r\n" + body]
 
 
 class ScriptedServer:
@@ -165,7 +225,9 @@ class ScriptedServer:
     hangs up. ``("chunked", payload)`` sends a chunked 200 (with a wrong
     Content-Length), ``("unsized", payload)`` a 200 with no length that ends
     when the server closes, ``("continue", payload)`` a 100 Continue before
-    the 200, and ``("raw", bytes)`` exactly those bytes. The handler speaks
+    the 200, and ``("raw", bytes)`` exactly those bytes. ``("trickle",
+    payload)`` sends a 200 whose body comes one byte every 50 ms, and
+    ``("continues", None)`` a 100 Continue every 50 ms. The handler speaks
     HTTP/1.0, so every connection closes after one reply. Received requests,
     a proxy's CONNECT among them, accumulate in ``requests``. With ``tls``
     the server speaks https with the certificate ``TLS_CERT``.

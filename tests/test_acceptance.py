@@ -13,8 +13,6 @@ import time
 from functools import lru_cache
 from pathlib import Path
 
-from click.testing import CliRunner
-
 from chatner import (
     AnnotatedDocument,
     Annotation,
@@ -29,6 +27,7 @@ from chatner import (
 from chatner.cli import main as cli_main
 from chatner.parsing import parse_json_answer
 from chatner.prompting import render_inline, render_json
+from conftest import CliRunner
 
 DATA = Path(__file__).parent / "data"
 SEED = 20260814

@@ -9,7 +9,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from chatner import ConfigError, ZeroShotNer, cli
 from chatner.cli import main
@@ -27,11 +26,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def tag_tokens(text):
     """A part-of-speech hook for ``--pos-hook``: every token is tagged X."""
     return [(token, "X") for token in text.split()]
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 @pytest.fixture
@@ -617,26 +611,31 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["dump-prompt", "--method", "bogus"], "Invalid value for '--method'"),
-            (["dump-prompt", "--concurrency", "abc"], "Invalid value for '--concurrency'"),
-            (["nope"], "No such command 'nope'"),
-            (["--bogus"], "No such option '--bogus'"),
+            (["dump-prompt", "--method", "bogus"], "argument --method: invalid choice: 'bogus'"),
+            (["dump-prompt", "--concurrency", "abc"], "argument --concurrency: invalid int value"),
+            (["nope"], "argument command: invalid choice: 'nope'"),
+            (["--bogus"], "unrecognized arguments: --bogus"),
+            (["dump-prompt", "--temp", "0"], "unrecognized arguments: --temp 0"),
+            ([], "a command is required"),
         ],
-        ids=["bad choice", "bad integer", "unknown command", "option before the command"],
+        ids=["bad choice", "bad integer", "unknown command", "option before the command",
+             "abbreviated option", "no command"],
     )
     def test_usage_error_exits_1_with_the_usage_message(self, runner, workdir, argv, message):
-        if argv[0] == "dump-prompt":
+        if argv[:1] == ["dump-prompt"]:
             argv = [*argv, "--schema", str(workdir / "schema.json"), "--text", "x"]
         result = runner.invoke(main, argv)
         assert result.exit_code == 1, result.output
-        assert result.stderr.startswith("Usage: ")
-        assert f"Error: {message}" in result.stderr
+        assert result.stderr.startswith("usage: chatner")
+        assert f"error: {message}" in result.stderr
+        assert result.stdout == ""
 
     @pytest.mark.parametrize("command", ["annotate", "dump-prompt"])
     def test_schema_is_required(self, runner, workdir, command):
         result = runner.invoke(main, [command], input=GOLDEN_TEXT + "\n")
         assert result.exit_code == 1, result.output
-        assert "Error: Missing option '--schema'" in result.stderr
+        assert f"chatner {command}: error: the following arguments are required: --schema" \
+            in result.stderr
 
     @pytest.mark.parametrize(
         "placeholder", ["{text[x]}", "{text.nope}", "{text:{width}}", "{text!z}", "{text:d}"]
@@ -661,6 +660,18 @@ class TestExitCodes:
             main.main(args=["dump-prompt", *args(workdir), "--text", "x"],
                       standalone_mode=False)
 
+    def test_interrupt_prints_aborted_and_exits_1(self, runner, workdir, monkeypatch):
+        def interrupted(**flags):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_build_model", interrupted)
+        argv = ["dump-prompt", "--schema", str(workdir / "schema.json"), "--text", "x"]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1, result.output
+        assert result.stderr == "\nAborted!\n"
+        with pytest.raises(KeyboardInterrupt):
+            main.main(args=argv, standalone_mode=False)
+
     def test_bad_mock_script_is_named(self, runner, workdir):
         (workdir / "mock.json").write_text('{"replies": "<person>Ada</person>"}',
                                            encoding="utf-8")
@@ -682,5 +693,13 @@ class TestHelp:
     def test_matching_flag_lists_the_modes_and_the_default(self, runner):
         result = runner.invoke(main, ["evaluate", "--help"])
         assert result.exit_code == 0
-        assert "--matching [relaxed|strict]" in result.stdout
+        assert "--matching {relaxed,strict}" in result.stdout
         assert "[default: relaxed]" in result.stdout
+
+    @pytest.mark.parametrize(
+        "flag, start", [("-h", "usage: chatner"), ("--version", "chatner, version 0.1.0\n")]
+    )
+    def test_short_help_and_version(self, runner, flag, start):
+        result = runner.invoke(main, [flag])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.startswith(start)

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -311,6 +312,20 @@ class TestHttpBackend:
         with pytest.raises(BackendTimeoutError):
             HttpBackend().complete(CONVO, self.config(http_server, timeout=0.1))
 
+    @pytest.mark.parametrize(
+        "entry",
+        [("trickle", {"choices": [{"message": {"content": "ok"}}]}), ("continues", None)],
+        ids=["body one byte every 50 ms", "100 Continue without end"],
+    )
+    def test_timeout_bounds_the_whole_request(self, http_server, entry):
+        # Each read waits 50 ms, well under the timeout; the whole reply would
+        # take 2.3 s, or as long as the server keeps sending 100 Continue.
+        http_server.script = [entry]
+        start = time.monotonic()
+        with pytest.raises(BackendTimeoutError):
+            HttpBackend().complete(CONVO, self.config(http_server, timeout=0.2))
+        assert time.monotonic() - start < 1
+
     def test_connection_refused(self):
         config = BackendConfig(base_url="http://127.0.0.1:9/v1", timeout=2)
         with pytest.raises(BackendConnectionError):
@@ -389,7 +404,7 @@ class TestTransportContract:
             ),
             encoding="utf-8",
         )
-        probe = STACK_PROBE.format(stack=HTTP_STACK)
+        probe = STACK_PROBE.format(stack=HTTP_STACK | {"click"})
         library = run_python(
             probe
             + "import chatner\n"

@@ -421,7 +421,8 @@ class MockBackend:
             if not isinstance(entry, (str, BaseException)):
                 raise ConfigError(f"{where} must be a string or an exception instance, "
                                   f"got {entry!r:.60}")
-        self._replies = list(replies) if replies is not None else None
+        # Reversed, so each call pops the next reply off the end.
+        self._replies = list(reversed(replies)) if replies is not None else None
         self._matchers = list(matchers) if matchers is not None else None
         self._lock = threading.Lock()
         self.calls: list[tuple[_Message, ...]] = []
@@ -434,7 +435,7 @@ class MockBackend:
                     raise MockScriptError(
                         f"mock reply script exhausted after {len(self.calls) - 1} calls"
                     )
-                item = self._replies.pop(0)
+                item = self._replies.pop()
             else:
                 item = self._match(conversation)
         if isinstance(item, BaseException):

@@ -16,7 +16,9 @@ character, so alignment, like JSON block extraction, takes near-linear time
 and recurses nowhere. Tokens come from ``str.split()``, which is all the
 work for a text with single spaces between its tokens; other texts, and
 tags, take one ``re.split`` each. No Python loop builds a string, an offset
-or an alignment piece per token, and no offset is stored per token.
+or an alignment piece per token, and no offset is stored per token. Tags
+are paired on a stack as they are read, in the pass that strips them, and
+all spans of a reply map through the alignment in one forward walk.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import re
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain, compress, count, cycle, islice, pairwise, repeat
 from math import isqrt
 from operator import ne, not_, sub
@@ -50,47 +52,6 @@ _REFINE_LIMIT = 256
 
 # (s_lo, s_hi, o_lo, o_hi): a stripped range and the original range it maps to.
 _Segment = tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
-class AlignmentMap:
-    """Monotone mapping from stripped-completion offsets to original offsets.
-
-    Segments ``(s_lo, s_hi, o_lo, o_hi)`` tile the stripped text left to
-    right, none of them empty on the stripped side. A segment maps its
-    offsets proportionally, which is offset by offset when both sides have
-    equal lengths.
-    """
-
-    segments: tuple[_Segment, ...]
-
-    def map_offset(self, offset: int, *, prefer_end: bool = False) -> int:
-        """Map one stripped offset to an original offset.
-
-        ``prefer_end`` resolves offsets sitting on a segment boundary to the
-        left segment, which is what the exclusive end of a span wants.
-        """
-        if not self.segments:
-            return 0
-        index = bisect_right(self._starts, offset - 1 if prefer_end else offset)
-        s_lo, s_hi, o_lo, o_hi = self.segments[index - 1 if index else 0]
-        if offset >= s_hi:
-            return o_hi
-        if offset <= s_lo:
-            return o_lo
-        if s_hi - s_lo == o_hi - o_lo:
-            return o_lo + offset - s_lo
-        # Proportional, and exact at both ends: k * n / k is n in floating point.
-        return o_lo + round((offset - s_lo) * (o_hi - o_lo) / (s_hi - s_lo))
-
-    @cached_property
-    def _starts(self) -> list[int]:
-        return [segment[0] for segment in self.segments]
-
-    def map_span(self, start: int, end: int) -> tuple[int, int]:
-        """Map a stripped span; the end never falls before the start."""
-        mapped_start = self.map_offset(start)
-        return mapped_start, max(mapped_start, self.map_offset(end, prefer_end=True))
 
 
 @dataclass(frozen=True)
@@ -270,7 +231,7 @@ def _token_starts(words: list[str], spaces: list[str], first: int) -> Callable[[
     return token_start
 
 
-def align_texts(stripped: str, original: str) -> AlignmentMap:
+def align_texts(stripped: str, original: str) -> tuple[_Segment, ...]:
     """Align a tag-stripped completion against the original text.
 
     Tokens (maximal runs of non-whitespace) are paired by a longest common
@@ -279,11 +240,14 @@ def align_texts(stripped: str, original: str) -> AlignmentMap:
     middle stays unpaired. Consecutive pairs with equal whitespace between
     them form a run whose text is equal on both sides, and each run maps as
     one piece. The gaps between runs are refined to character offsets with
-    difflib up to a fixed length; longer gaps map proportionally. Identical
-    inputs give the identity map; an empty stripped text gives an empty map.
+    difflib up to a fixed length; longer gaps map proportionally.
+
+    Returns segments that tile the stripped text left to right, none of them
+    empty on the stripped side; ``_map_spans`` maps offsets through them.
+    Identical inputs give one segment; an empty stripped text gives none.
     """
     if stripped == original:
-        return AlignmentMap(((0, len(stripped), 0, len(original)),) if stripped else ())
+        return ((0, len(stripped), 0, len(original)),) if stripped else ()
     words_s, spaces_s, first_s = _split_tokens(stripped)
     words_o, spaces_o, first_o = _split_tokens(original)
     start_s = _token_starts(words_s, spaces_s, first_s)
@@ -300,7 +264,7 @@ def align_texts(stripped: str, original: str) -> AlignmentMap:
             prev_o = start_o(j + stop - 1) + len(words_o[j + stop - 1])
             pieces.append((lo_s, prev_s, lo_o, prev_o))
     pieces += _gap_segments(stripped, original, prev_s, len(stripped), prev_o, len(original))
-    return AlignmentMap(_merge_runs(pieces))
+    return _merge_runs(pieces)
 
 
 @lru_cache(maxsize=64)
@@ -312,18 +276,21 @@ def _tag_pattern(labels: tuple[str, ...], delimiters: tuple[str, str] | None) ->
 
 
 def _scan_tags(
-    completion: str, labels: Sequence[str], delimiters: tuple[str, str] | None
-) -> tuple[str, list[tuple[bool, str, int]]]:
-    """Strip tags in one left-to-right pass.
+    completion: str, labels: Sequence[str], delimiters: tuple[str, str] | None, warnings: list[str]
+) -> tuple[str, list[tuple[int, int, str]]]:
+    """Strip tags and pair them in one left-to-right pass.
 
-    Returns the stripped text and tag events as (is_close, label, offset in
-    stripped text). Without ``delimiters`` the tags are ``<label>`` and
-    ``</label>`` for the given labels, and anything that merely looks like
-    a tag stays in the text untouched. With them, every delimiter marks the
-    single label; where both delimiters start at the same place the longer
-    is read, and equal delimiters alternate between opening and closing.
-    One ``split`` on the tag pattern gives the text between tags and the
-    captured tags, so the stripped text and the offsets are built in C.
+    Returns the stripped text and the spans (start, end, label) in stripped
+    offsets, in the order they close, and warns about stray and unmatched
+    tags. Without ``delimiters`` the tags are ``<label>`` and ``</label>``
+    for the given labels, and anything that merely looks like a tag stays in
+    the text untouched. With them, every delimiter marks the single label;
+    where both delimiters start at the same place the longer is read, and
+    equal delimiters alternate between opening and closing. One ``split`` on
+    the tag pattern gives the text between tags and the captured tags, so
+    the stripped text and the offsets are built in C. ``open_count`` tracks
+    the tags of each label on the stack, so a stray closing tag is found
+    without a scan, and a mis-nested one pops only the tags it drops.
     """
     pattern = _tag_pattern(tuple(labels), delimiters)
     parts = pattern.split(completion)
@@ -337,23 +304,11 @@ def _scan_tags(
         open_, close = delimiters
         closes = cycle((False, True)) if open_ == close else map(close.__eq__, parts[1::step])
         names = repeat(labels[0])
-    # zip stops with the offsets, one per tag.
-    return "".join(texts), list(zip(closes, names, offsets))
-
-
-def _pair_tag_events(
-    events: list[tuple[bool, str, int]], warnings: list[str]
-) -> list[tuple[int, int, str]]:
-    """Stack-match open/close events into spans, warning about strays.
-
-    ``open_count`` tracks how many tags of each label are on the stack, so
-    a closing tag with no open partner is found stray without a scan, and
-    a mis-nested one pops only the tags it drops.
-    """
     stack: list[tuple[str, int]] = []
     open_count: dict[str, int] = {}
     spans: list[tuple[int, int, str]] = []
-    for is_close, label, offset in events:
+    # zip stops with the offsets, one per tag.
+    for is_close, label, offset in zip(closes, names, offsets):
         if not is_close:
             stack.append((label, offset))
             open_count[label] = open_count.get(label, 0) + 1
@@ -371,7 +326,46 @@ def _pair_tag_events(
         spans.append((stack.pop()[1], offset, label))
     for dropped_label, _ in stack:
         warnings.append(f"unmatched opening tag for {dropped_label!r} dropped")
-    return spans
+    return "".join(texts), spans
+
+
+def _map_spans(
+    segments: Sequence[_Segment], spans: Sequence[tuple[int, int, str]]
+) -> list[tuple[int, int]]:
+    """Map every stripped span through the segments in one forward walk.
+
+    A start maps through the segment that holds it, and an end on a segment
+    boundary through the segment on its left, as an exclusive end wants; a
+    mapped end never falls before its mapped start. A segment maps offsets
+    proportionally, which is offset by offset when both sides have equal
+    lengths. With no segments every offset maps to 0. Starts and ends are
+    sorted once, an end before a start at the same offset, so the walk's
+    segment only moves forward.
+    """
+    # Key 2 * offset for an end, 2 * offset + 1 for a start: ends first.
+    keys = [2 * end for _, end, _ in spans] + [2 * start + 1 for start, _, _ in spans]
+    mapped = [0] * len(keys)
+    index, last = 0, len(segments) - 1
+    s_lo, s_hi, o_lo, o_hi = segments[0] if segments else (0, 0, 0, 0)
+    for at in sorted(range(len(keys)), key=keys.__getitem__):
+        key = keys[at]
+        offset = key >> 1
+        # On to the last segment that starts at or before a start, or before
+        # an end: either way, twice its start is below the key.
+        while index < last and 2 * segments[index + 1][0] < key:
+            index += 1
+            s_lo, s_hi, o_lo, o_hi = segments[index]
+        if offset >= s_hi:
+            mapped[at] = o_hi
+        elif offset <= s_lo:
+            mapped[at] = o_lo
+        elif s_hi - s_lo == o_hi - o_lo:
+            mapped[at] = o_lo + offset - s_lo
+        else:
+            # Proportional, and exact at both ends: k * n / k is n in floating point.
+            mapped[at] = o_lo + round((offset - s_lo) * (o_hi - o_lo) / (s_hi - s_lo))
+    starts, ends = mapped[len(spans) :], mapped[: len(spans)]
+    return list(zip(starts, map(max, starts, ends)))
 
 
 def _nearest_occurrence(text: str, needle: str, near: int) -> int:
@@ -424,16 +418,14 @@ def parse_inline(
                 f"custom delimiters require a single-label schema, got {list(schema.labels)}"
             )
     warnings: list[str] = []
-    stripped, events = _scan_tags(completion, schema.labels, delimiters)
-    spans = _pair_tag_events(events, warnings)
-    amap = align_texts(stripped, original)
+    stripped, spans = _scan_tags(completion, schema.labels, delimiters, warnings)
+    mapped = _map_spans(align_texts(stripped, original), spans)
     annotations: set[Annotation] = set()
-    for start, end, label in spans:
+    for (start, end, label), (mapped_start, mapped_end) in zip(spans, mapped):
         mention = stripped[start:end]
         if not mention:
             warnings.append(f"empty {label!r} tag pair dropped")
             continue
-        mapped_start, mapped_end = amap.map_span(start, end)
         if original[mapped_start:mapped_end] == mention:
             annotations.add(Annotation(mapped_start, mapped_end, label))
             continue

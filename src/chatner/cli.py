@@ -269,6 +269,22 @@ def _parser() -> _Parser:
     return parser
 
 
+def _take_delimiters(args: list[str]) -> tuple[list[str], list[str] | None]:
+    """``args`` without each ``--delimiters`` and the two arguments after it,
+    and the last such pair. The markers are taken as they are: argparse
+    would read one that starts with ``-``, such as ``-[``, as a flag. A
+    ``--delimiters`` without two arguments after it is left to argparse."""
+    rest, delimiters, position = [], None, 0
+    while position < len(args):
+        if args[position] == "--delimiters" and position + 2 < len(args):
+            delimiters = args[position + 1:position + 3]
+            position += 3
+        else:
+            rest.append(args[position])
+            position += 1
+    return rest, delimiters
+
+
 class _Main:
     """Named entity recognition through chat-completion language models.
 
@@ -280,9 +296,12 @@ class _Main:
     def main(self, args: list[str] | None = None, standalone_mode: bool = True) -> None:
         try:
             parser = _parser()
+            args, delimiters = _take_delimiters(sys.argv[1:] if args is None else list(args))
             flags = vars(parser.parse_args(args))
             if flags.pop("command") is None:
                 parser.error("a command is required")
+            if delimiters is not None:
+                flags["delimiters"] = delimiters
             return flags.pop("run")(**flags)
         except (ChatnerError, OSError, KeyboardInterrupt) as exc:
             if not standalone_mode:

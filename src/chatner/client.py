@@ -16,6 +16,7 @@ import os
 import random
 import threading
 import time
+import weakref
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -143,24 +144,41 @@ def build_request_body(
 _MAX_LINE = 65_536
 _MAX_HEADERS = 100
 _READ_PIECE = 1 << 20
+# A pooled connection's key: scheme, target authority and the address dialled.
+_PoolKey = tuple[str, str, tuple[str, int]]
 
 
 @functools.cache
-def _network() -> tuple[dict[str, str], Any]:
-    """The proxy variables and the CA store, read at the first request."""
+def _network() -> tuple[dict[str, str], Any, tuple[int, int, int] | None]:
+    """The proxy variables, the CA store and the ``setsockopt`` arguments
+    that ask for an immediate ACK (None where the platform has no
+    ``TCP_QUICKACK``), read at the first request."""
+    import socket
     import ssl
     import urllib.request
 
-    return urllib.request.getproxies(), ssl.create_default_context()
+    quickack = getattr(socket, "TCP_QUICKACK", None)
+    quickack = None if quickack is None else (socket.IPPROTO_TCP, quickack, 1)
+    return urllib.request.getproxies(), ssl.create_default_context(), quickack
 
 
 class HttpBackend:
     """Single-attempt client for any OpenAI-compatible chat-completions API.
 
-    Each request opens its own connection, sends ``Connection: close`` and
-    reads the reply until it ends. Redirects are not followed: they would
-    resend the API key to wherever they point.
+    Connections are kept open and reused. After a reply, the socket goes
+    back to this backend's pool of idle ones only if the reply was HTTP/1.1,
+    did not say ``Connection: close``, was framed by ``Content-Length`` or
+    chunked, and was read to its end; any other outcome, an error included,
+    closes it. A reused connection that fails before any byte of the reply
+    arrives (the server closed it while it idled) is reopened once. Idle
+    sockets are closed when the backend is garbage-collected. Redirects are
+    not followed: they would resend the API key to wherever they point.
     """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: dict[_PoolKey, list] = {}  # a LIFO stack of idle sockets per key
+        weakref.finalize(self, _close_idle, self._idle)
 
     def complete(self, conversation: Sequence[_Message], config: BackendConfig) -> str:
         url = config.base_url.rstrip("/") + "/chat/completions"
@@ -170,7 +188,7 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {api_key}"
         body = json.dumps(build_request_body(conversation, config)).encode("utf-8")
         try:
-            status, reply_headers, payload = _post(url, headers, body, config.timeout)
+            status, reply_headers, payload = self._post(url, headers, body, config.timeout)
         except TimeoutError as exc:
             raise BackendTimeoutError(f"no answer within {config.timeout}s") from exc
         except (OSError, ValueError) as exc:
@@ -202,54 +220,106 @@ class HttpBackend:
             raise MalformedResponseError("completion content is not a string")
         return content
 
+    def _post(
+        self, url: str, headers: dict[str, str], body: bytes, timeout: float
+    ) -> tuple[int, dict[str, str], bytes]:
+        """One HTTP/1.1 POST on an idle connection of the pool, or on a new
+        one: status, headers (names in lower case) and body. A request that
+        cannot be sent as given is a BackendError before any byte leaves; a
+        reply that breaks the protocol or its bounds is a ValueError or an
+        OSError, and a request not done ``timeout`` seconds after it started
+        a TimeoutError."""
+        import urllib.parse
 
-def _post(
-    url: str, headers: dict[str, str], body: bytes, timeout: float
-) -> tuple[int, dict[str, str], bytes]:
-    """One HTTP/1.1 POST on a connection of its own: status, headers (names in
-    lower case) and body. A request that cannot be sent as given is a
-    BackendError before any byte leaves; a reply that breaks the protocol or
-    its bounds is a ValueError or an OSError, and a request not done
-    ``timeout`` seconds after it started a TimeoutError."""
+        proxies, context, quickack = _network()
+        parts = urllib.parse.urlsplit(url)
+        https = parts.scheme == "https"
+        host, port = parts.hostname or "", parts.port or (443 if https else 80)
+        authority = parts.netloc.rpartition("@")[2]
+        target = parts.path + (f"?{parts.query}" if parts.query else "")
+        proxy = _proxy(proxies.get(parts.scheme), authority, port)
+        address, tunnel = proxy[0] if proxy else (host, port), b""
+        if proxy and https:
+            hostport = authority if parts.port else f"{authority}:{port}"
+            tunnel = _head(f"CONNECT {hostport}", {"Host": hostport, **proxy[1]})
+        elif proxy:
+            target, headers = f"http://{authority}{target}", {**headers, **proxy[1]}
+        request = _head(
+            f"POST {target}",
+            {"Host": authority, "User-Agent": "chatner", **headers,
+             "Content-Length": str(len(body)), "Accept-Encoding": "identity"},
+        ) + body
+        deadline = time.monotonic() + timeout
+        key = (parts.scheme, authority, address)
+        with self._lock:
+            idle = self._idle.get(key)
+            sock = idle.pop() if idle else None
+        if sock is not None:
+            reply = self._exchange(key, sock, request, deadline, quickack, reused=True)
+            if reply is not None:
+                return reply
+        sock = _connect(address, deadline, tunnel, context if https else None, host)
+        return self._exchange(key, sock, request, deadline, quickack, reused=False)
+
+    def _exchange(
+        self, key: _PoolKey, sock, request: bytes, deadline: float, quickack, reused: bool
+    ) -> tuple[int, dict[str, str], bytes] | None:
+        """Send ``request`` on ``sock`` and read its reply; then pool the
+        socket or close it. None when a reused socket failed before any byte
+        of the reply arrived, so the request can go on a new connection."""
+        reader = _DeadlineReader(sock, deadline, quickack)
+        keep = False
+        try:
+            sock.settimeout(_time_left(deadline))
+            sock.sendall(request)
+            reply = io.BufferedReader(reader)
+            version, status, reply_headers = _read_head(reply)
+            payload, framed = _read_body(reply, reply_headers)
+            keep = (framed and version == b"HTTP/1.1"
+                    and "close" not in reply_headers.get("connection", "").lower())
+        except TimeoutError:
+            raise
+        except OSError:
+            if reused and not reader.received:
+                return None
+            raise
+        finally:
+            if keep:
+                with self._lock:
+                    self._idle.setdefault(key, []).append(sock)
+            else:
+                sock.close()
+        return status, reply_headers, payload
+
+
+def _close_idle(idle: dict[_PoolKey, list]) -> None:
+    """Close the idle sockets of a backend that is gone."""
+    for stack in idle.values():
+        for sock in stack:
+            sock.close()
+    idle.clear()
+
+
+def _connect(address: tuple[str, int], deadline: float, tunnel: bytes, context, host: str):
+    """A new socket to ``address``: through the proxy tunnel that ``tunnel``
+    asks for, if any, then in TLS for ``host`` if ``context`` is given."""
     import socket
-    import urllib.parse
 
-    proxies, context = _network()
-    parts = urllib.parse.urlsplit(url)
-    https = parts.scheme == "https"
-    host, port = parts.hostname or "", parts.port or (443 if https else 80)
-    authority = parts.netloc.rpartition("@")[2]
-    target = parts.path + (f"?{parts.query}" if parts.query else "")
-    proxy = _proxy(proxies.get(parts.scheme), authority, port)
-    address, tunnel = proxy[0] if proxy else (host, port), b""
-    if proxy and https:
-        hostport = authority if parts.port else f"{authority}:{port}"
-        tunnel = _head(f"CONNECT {hostport}", {"Host": hostport, **proxy[1]})
-    elif proxy:
-        target, headers = f"http://{authority}{target}", {**headers, **proxy[1]}
-    request = _head(
-        f"POST {target}",
-        {"Host": authority, "User-Agent": "chatner", **headers,
-         "Content-Length": str(len(body)), "Accept-Encoding": "identity",
-         "Connection": "close"},
-    ) + body
-    deadline = time.monotonic() + timeout
-    with socket.create_connection(address, timeout) as sock:
+    sock = socket.create_connection(address, _time_left(deadline))
+    try:
         if tunnel:
             sock.settimeout(_time_left(deadline))
             sock.sendall(tunnel)
-            status, _ = _read_head(io.BufferedReader(_DeadlineReader(sock, deadline)))
+            _, status, _ = _read_head(io.BufferedReader(_DeadlineReader(sock, deadline, None)))
             if status != 200:
                 raise ConnectionError(f"the proxy refused the tunnel (HTTP {status})")
-        if https:
+        if context is not None:
             sock.settimeout(_time_left(deadline))
             sock = context.wrap_socket(sock, server_hostname=host)
-        with sock:
-            sock.settimeout(_time_left(deadline))
-            sock.sendall(request)
-            reply = io.BufferedReader(_DeadlineReader(sock, deadline))
-            status, reply_headers = _read_head(reply)
-            return status, reply_headers, _read_body(reply, reply_headers)
+    except BaseException:
+        sock.close()
+        raise
+    return sock
 
 
 def _time_left(deadline: float) -> float:
@@ -261,17 +331,27 @@ def _time_left(deadline: float) -> float:
 
 
 class _DeadlineReader(io.RawIOBase):
-    """The bytes of a socket, each read waiting no longer than the time left."""
+    """The bytes of a socket, each read waiting no longer than the time left.
 
-    def __init__(self, sock, deadline: float):
-        self._sock, self._deadline = sock, deadline
+    Each read first sets ``quickack``, if given, as the option does not
+    stick: a server that sends headers and body in two writes with Nagle's
+    algorithm on holds the body until the headers are acknowledged, and on a
+    reused connection the kernel would delay that ACK by about 40 ms."""
+
+    def __init__(self, sock, deadline: float, quickack):
+        self._sock, self._deadline, self._quickack = sock, deadline, quickack
+        self.received = 0
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
         self._sock.settimeout(_time_left(self._deadline))
-        return self._sock.recv_into(buffer)
+        if self._quickack is not None:
+            self._sock.setsockopt(*self._quickack)
+        count = self._sock.recv_into(buffer)
+        self.received += count
+        return count
 
 
 def _proxy(
@@ -317,8 +397,8 @@ def _read_line(reply: BinaryIO) -> bytes:
     return line
 
 
-def _read_head(reply: BinaryIO) -> tuple[int, dict[str, str]]:
-    """The status and the headers of the final reply, past any 1xx."""
+def _read_head(reply: BinaryIO) -> tuple[bytes, int, dict[str, str]]:
+    """The version, the status and the headers of the final reply, past any 1xx."""
     while True:
         line = _read_line(reply)
         version, _, rest = line.partition(b" ")
@@ -336,12 +416,13 @@ def _read_head(reply: BinaryIO) -> tuple[int, dict[str, str]]:
         else:
             raise ValueError(f"the reply has more than {_MAX_HEADERS} headers")
         if not code.startswith(b"1"):
-            return int(code), headers
+            return version, int(code), headers
 
 
-def _read_body(reply: BinaryIO, headers: dict[str, str]) -> bytes:
-    """Chunked if Transfer-Encoding says so, else Content-Length bytes, else
-    everything until the server closes."""
+def _read_body(reply: BinaryIO, headers: dict[str, str]) -> tuple[bytes, bool]:
+    """The body, chunked if Transfer-Encoding says so, else Content-Length
+    bytes, else everything until the server closes; and whether it was
+    framed, so that the connection can carry another request."""
     if "chunked" in headers.get("transfer-encoding", "").lower():
         chunks = []
         while size := int(_read_line(reply).split(b";")[0], 16):
@@ -351,13 +432,13 @@ def _read_body(reply: BinaryIO, headers: dict[str, str]) -> bytes:
             _read_line(reply)
         while _read_line(reply).strip():  # trailers
             pass
-        return b"".join(chunks)
+        return b"".join(chunks), True
     length = headers.get("content-length")
     if length is None:
-        return reply.read()
+        return reply.read(), False
     if not (length.isascii() and length.isdigit()):
         raise ValueError(f"bad Content-Length {length[:40]!r}")
-    return _read_exactly(reply, int(length))
+    return _read_exactly(reply, int(length)), True
 
 
 def _read_exactly(reply: BinaryIO, size: int) -> bytes:

@@ -151,8 +151,10 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             )
             entry = server.script[min(index, len(server.script) - 1)]
         if entry[0] == "close":
+            self.close_connection = True
             return
         if entry[0] in ("raw", "chunked", "unsized", "continue", "trickle", "continues"):
+            self.close_connection = True
             try:
                 for position, piece in enumerate(_raw_reply(*entry)):
                     time.sleep(0.05 if position else 0)
@@ -163,9 +165,9 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         if entry[0] == "sleep":
             time.sleep(entry[1])
             entry = (200, {"choices": [{"message": {"content": ""}}]})
-        missing = 0
-        if entry[0] == "truncated":
-            entry, missing = (200, entry[1]), 100
+        missing = 100 if entry[0] == "truncated" else 0
+        if entry[0] in ("truncated", "idle-close"):
+            entry, self.close_connection = (200, entry[1]), True
         status, payload, *extra = entry
         raw = payload if isinstance(payload, str) else json.dumps(payload)
         data = raw.encode("utf-8")
@@ -187,6 +189,13 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 
     def log_message(self, *args):  # keep test output clean
         pass
+
+
+class _KeepAliveHandler(_ScriptedHandler):
+    # Replies framed by Content-Length keep the connection open. As in
+    # http.server (and the benchmark's stub), the headers and the body go out
+    # in two writes with Nagle's algorithm on.
+    protocol_version = "HTTP/1.1"
 
 
 def _raw_reply(kind: str, payload) -> list[bytes]:
@@ -228,13 +237,19 @@ class ScriptedServer:
     the 200, and ``("raw", bytes)`` exactly those bytes. ``("trickle",
     payload)`` sends a 200 whose body comes one byte every 50 ms, and
     ``("continues", None)`` a 100 Continue every 50 ms. The handler speaks
-    HTTP/1.0, so every connection closes after one reply. Received requests,
-    a proxy's CONNECT among them, accumulate in ``requests``. With ``tls``
-    the server speaks https with the certificate ``TLS_CERT``.
+    HTTP/1.0, so every connection closes after one reply; with
+    ``keep_alive`` it speaks HTTP/1.1 and keeps a connection open after a
+    ``(status, payload)`` or ``sleep`` reply, while ``("idle-close",
+    payload)`` sends a 200 that keeps it open and then hangs up, as a
+    server does with a connection left idle, and every other kind closes
+    the connection. Received requests, a proxy's
+    CONNECT among them, accumulate in ``requests``. With ``tls`` the server
+    speaks https with the certificate ``TLS_CERT``.
     """
 
-    def __init__(self, tls: bool = False):
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    def __init__(self, tls: bool = False, keep_alive: bool = False):
+        handler = _KeepAliveHandler if keep_alive else _ScriptedHandler
+        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         self._scheme = "https" if tls else "http"
         if tls:
             context = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
@@ -277,6 +292,13 @@ class ScriptedServer:
 @pytest.fixture
 def http_server():
     server = ScriptedServer()
+    yield server
+    server.close()
+
+
+@pytest.fixture
+def keep_alive_server():
+    server = ScriptedServer(keep_alive=True)
     yield server
     server.close()
 

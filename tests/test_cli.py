@@ -435,6 +435,17 @@ class TestDumpPrompt:
             "entity location"
         )
 
+    def test_delimiters_may_start_with_a_dash(self, runner):
+        schema = Path(__file__).parent / "data" / "conll_schema.json"
+        result = runner.invoke(
+            main,
+            ["dump-prompt", "--schema", str(schema), "--method", "multi",
+             "--delimiters", "-[", "]-", "--text", "x"],
+        )
+        assert result.exit_code == 0, result.output
+        assert "between '-[' and ']-'" in result.stdout
+        assert result.stdout.endswith("[assistant]\n{response}\n")
+
     def test_byte_identical_across_runs(self, runner, workdir):
         command = [
             "dump-prompt", "--schema", str(workdir / "schema.json"),

@@ -57,31 +57,13 @@ def _resolve_templates(
     return PromptTemplateSet({} if templates is None else templates)
 
 
-def check_is_contextualized(model) -> None:
+def _check_is_contextualized(model) -> None:
     """Raise unless ``model`` has been given its entity schema."""
     if getattr(model, "schema_", None) is None:
         raise NotContextualizedError(
             f"this {type(model).__name__} instance is not contextualized yet; "
             "call contextualize(entities=...) before predict"
         )
-
-
-def ensure_texts(texts) -> list[str]:
-    """Normalize a predict() input to a list of strings.
-
-    A bare string is rejected: it is iterable, so silently accepting it
-    would predict one document per character.
-    """
-    if isinstance(texts, str):
-        raise TypeError("pass a sequence of texts, not a single string")
-    try:
-        items = list(texts)
-    except TypeError:
-        raise TypeError(f"texts must be a sequence of strings, got {type(texts).__name__}") from None
-    for item in items:
-        if not isinstance(item, str):
-            raise TypeError(f"texts must all be strings, got {type(item).__name__}")
-    return items
 
 
 def _config_from_params(config_class, model):
@@ -193,10 +175,6 @@ class NerModel:
         return self
 
     # -- lifecycle --------------------------------------------------------
-
-    @property
-    def is_contextualized(self) -> bool:
-        return self.schema_ is not None
 
     def contextualize(
         self,
@@ -310,7 +288,7 @@ class NerModel:
         mode, to every per-label turn; the result is the union of what the
         parsed turns recovered.
         """
-        check_is_contextualized(self)
+        _check_is_contextualized(self)
         if not isinstance(text, str):
             raise TypeError(f"text must be a string, got {type(text).__name__}")
         parse_every_turn = self.config_.multi_turn_mode == "step_by_step"
@@ -345,8 +323,18 @@ class NerModel:
         (defaulting to the constructor parameter). A failure is recorded in
         that document's result instead of aborting the batch.
         """
-        check_is_contextualized(self)
-        items = ensure_texts(texts)
+        _check_is_contextualized(self)
+        # A bare string is iterable too, and would be one document per character.
+        if isinstance(texts, str):
+            raise TypeError("pass a sequence of texts, not a single string")
+        try:
+            items = list(texts)
+        except TypeError:
+            kind = type(texts).__name__
+            raise TypeError(f"texts must be a sequence of strings, got {kind}") from None
+        for item in items:
+            if not isinstance(item, str):
+                raise TypeError(f"texts must all be strings, got {type(item).__name__}")
         workers = _check_workers(
             max_concurrency if max_concurrency is not None else self.max_concurrency
         )
@@ -378,7 +366,7 @@ class NerModel:
         ``{response}`` placeholders; with pos_mode "via_llm" the tag block
         appears as a ``{pos_tags}`` placeholder.
         """
-        check_is_contextualized(self)
+        _check_is_contextualized(self)
         config = self.config_
         query = self._query(text, llm_tags="{pos_tags}")
         messages = list(self.prefix_)

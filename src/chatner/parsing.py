@@ -149,9 +149,10 @@ def _common_token_pairs(a: list[str], b: list[str]) -> list[tuple[int, int, int]
 
 
 def _matching_blocks(a: str, b: str) -> list[tuple[int, int, int]]:
-    """difflib's matching blocks of two non-empty strings, sentinel included;
-    where one side contains the other, the longest and earliest block is all
-    of the shorter side at its first occurrence, and ``str.find`` gives it."""
+    """difflib's matching blocks of a non-empty ``a`` and any ``b``, sentinel
+    included; where one side contains the other (an equal or empty ``b``
+    too), the longest and earliest block is all of the shorter side at its
+    first occurrence, and ``str.find`` gives it."""
     if (at := b.find(a)) != -1:
         return [(0, at, len(a)), (len(a), len(b), 0)]
     if (at := a.find(b)) != -1:
@@ -167,7 +168,7 @@ def _gap_segments(
     gap_o = original[o_lo:o_hi]
     if not gap_s:
         return []
-    if gap_s == gap_o or not gap_o or max(len(gap_s), len(gap_o)) > _REFINE_LIMIT:
+    if max(len(gap_s), len(gap_o)) > _REFINE_LIMIT:
         return [(s_lo, s_hi, o_lo, o_hi)]
     # Character-level refinement inside the gap: equal blocks map exactly,
     # the fuzz in between maps proportionally.
@@ -180,26 +181,6 @@ def _gap_segments(
             segments.append((s_lo + a, s_lo + a + size, o_lo + b, o_lo + b + size))
         prev_a, prev_b = a + size, b + size
     return segments
-
-
-def _merge_runs(pieces: list[_Segment]) -> tuple[_Segment, ...]:
-    """One segment per shifted run.
-
-    ``pieces`` tile the stripped text. A piece of equal lengths on both
-    sides extends the previous segment when that one has equal lengths too
-    and ends where the piece starts in the original: every offset then maps
-    the same through either. Pieces with a hole between them in the
-    original, where difflib skipped what the echo deleted, stay apart.
-    """
-    segments: list[_Segment] = []
-    for s_lo, s_hi, o_lo, o_hi in pieces:
-        if segments and s_hi - s_lo == o_hi - o_lo:
-            last_s_lo, last_s_hi, last_o_lo, last_o_hi = segments[-1]
-            if last_o_hi == o_lo and last_s_hi - last_s_lo == last_o_hi - last_o_lo:
-                segments[-1] = (last_s_lo, s_hi, last_o_lo, o_hi)
-                continue
-        segments.append((s_lo, s_hi, o_lo, o_hi))
-    return tuple(segments)
 
 
 def _split_tokens(text: str) -> tuple[list[str], list[str], int]:
@@ -264,7 +245,7 @@ def align_texts(stripped: str, original: str) -> tuple[_Segment, ...]:
             prev_o = start_o(j + stop - 1) + len(words_o[j + stop - 1])
             pieces.append((lo_s, prev_s, lo_o, prev_o))
     pieces += _gap_segments(stripped, original, prev_s, len(stripped), prev_o, len(original))
-    return _merge_runs(pieces)
+    return tuple(pieces)
 
 
 @lru_cache(maxsize=64)

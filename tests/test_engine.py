@@ -82,7 +82,7 @@ class TestContextualize:
     def test_returns_self_and_sets_fitted_state(self):
         model = ZeroShotNer(backend=seq("x"))
         assert model.contextualize(SCHEMA) is model
-        assert model.is_contextualized
+        assert model.schema_ is not None
         assert model.schema_.labels == ("person", "location")
         assert model.prefix_[0].role == "system"
 

@@ -169,10 +169,12 @@ class HttpBackend:
     back to this backend's pool of idle ones only if the reply was HTTP/1.1,
     did not say ``Connection: close``, was framed by ``Content-Length`` or
     chunked, and was read to its end; any other outcome, an error included,
-    closes it. A reused connection that fails before any byte of the reply
-    arrives (the server closed it while it idled) is reopened once. Idle
-    sockets are closed when the backend is garbage-collected. Redirects are
-    not followed: they would resend the API key to wherever they point.
+    closes it. An idle socket that has bytes waiting, or an end of stream,
+    is closed rather than reused. A reused connection that fails before any
+    byte of the reply arrives (the server closed it while it idled) is
+    reopened once. Idle sockets are closed when the backend is
+    garbage-collected. Redirects are not followed: they would resend the API
+    key to wherever they point.
     """
 
     def __init__(self) -> None:
@@ -254,6 +256,10 @@ class HttpBackend:
         with self._lock:
             idle = self._idle.get(key)
             sock = idle.pop() if idle else None
+        if sock is not None and _readable(sock):
+            # Closed by the server, or holding bytes no request asked for.
+            sock.close()
+            sock = None
         if sock is not None:
             reply = self._exchange(key, sock, request, deadline, quickack, reused=True)
             if reply is not None:
@@ -320,6 +326,19 @@ def _connect(address: tuple[str, int], deadline: float, tunnel: bytes, context, 
         sock.close()
         raise
     return sock
+
+
+def _readable(sock) -> bool:
+    """Whether ``sock`` has bytes or an end of stream waiting, checked without
+    waiting. ``poll`` where the platform has it: ``select`` refuses a
+    descriptor numbered past ``FD_SETSIZE``."""
+    import select
+
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
 
 
 def _time_left(deadline: float) -> float:
@@ -412,7 +431,10 @@ def _read_head(reply: BinaryIO) -> tuple[bytes, int, dict[str, str]]:
             if not line.strip():
                 break
             name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                raise ValueError("the reply has Content-Length headers that differ")
+            headers[name] = value
         else:
             raise ValueError(f"the reply has more than {_MAX_HEADERS} headers")
         if not code.startswith(b"1"):
@@ -420,10 +442,14 @@ def _read_head(reply: BinaryIO) -> tuple[bytes, int, dict[str, str]]:
 
 
 def _read_body(reply: BinaryIO, headers: dict[str, str]) -> tuple[bytes, bool]:
-    """The body, chunked if Transfer-Encoding says so, else Content-Length
-    bytes, else everything until the server closes; and whether it was
-    framed, so that the connection can carry another request."""
-    if "chunked" in headers.get("transfer-encoding", "").lower():
+    """The body: chunked when that is the final Transfer-Encoding, until the
+    server closes under any other, else Content-Length bytes, else until the
+    server closes; and whether it was framed, so that the connection can
+    carry another request."""
+    coding = headers.get("transfer-encoding")
+    if coding and coding.rpartition(",")[2].strip().lower() != "chunked":
+        return reply.read(), False
+    if coding:
         chunks = []
         while size := int(_read_line(reply).split(b";")[0], 16):
             if size < 0:

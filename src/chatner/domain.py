@@ -11,6 +11,7 @@ import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -23,8 +24,7 @@ ANSWER_SHAPES = ("inline", "json")
 POS_MODES = ("none", "via_llm", "via_hook")
 
 
-@dataclass(frozen=True, order=True)
-class Annotation:
+class Annotation(NamedTuple):
     """One entity mention as a half-open character span with a label.
 
     Instances are plain values and deliberately cheap to build; whether a
@@ -258,21 +258,21 @@ def document_from_record(record: Mapping) -> AnnotatedDocument:
     entries = record.get("annotations", [])
     if not isinstance(entries, list):
         raise ValueError(f"document 'annotations' must be a list, got {entries!r}")
+    length, fit = len(text), True
     annotations = []
     for entry in entries:
         # Checked, not coerced: int() would truncate 0.5 and read True as 1.
-        if not (
-            isinstance(entry, Mapping)
-            and type(entry.get("start")) is int
-            and type(entry.get("end")) is int
-            and isinstance(entry.get("label"), str)
-            and entry["label"]
-        ):
-            raise ValueError(
-                f"bad annotation entry {entry!r}: needs integer 'start' and "
-                "'end' and a non-empty string 'label'"
-            )
-        annotations.append(Annotation(entry["start"], entry["end"], entry["label"]))
+        if type(entry) is dict or isinstance(entry, Mapping):
+            start, end, label = entry.get("start"), entry.get("end"), entry.get("label")
+            if type(start) is int and type(end) is int and isinstance(label, str) and label:
+                fit = fit and 0 <= start < end <= length
+                annotations.append(Annotation(start, end, label))
+                continue
+        raise ValueError(
+            f"bad annotation entry {entry!r}: needs integer 'start' and "
+            "'end' and a non-empty string 'label'"
+        )
     doc = AnnotatedDocument(text, frozenset(annotations))
-    check_spans(doc)
+    if not fit:
+        check_spans(doc)
     return doc

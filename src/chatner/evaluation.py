@@ -37,29 +37,34 @@ def _read_documents(lines: Iterable[str]) -> Iterator[AnnotatedDocument]:
     annotations: list[Annotation] = []
     cursor = open_start = open_end = 0
     open_label: str | None = None
-    # A blank line reads as an O tag that also ends the sentence; one more
-    # after the last line flushes the final sentence.
+    # One more blank line after the last flushes the final sentence.
     for number, line in enumerate(chain(lines, [""]), start=1):
         columns = line.split()
-        if columns and columns[0] == "-DOCSTART-":
-            continue
-        if len(columns) == 1:
-            shown = line.rstrip("\n")
-            raise ConllError(f"line {number}: expected at least 2 columns, got {shown!r}")
-        tag = columns[-1] if columns else "O"
-        prefix, _, label = tag.partition("-")
-        if tag != "O" and (prefix not in ("B", "I") or not label):
-            raise ConllError(f"line {number}: malformed NER tag {tag!r}")
-        if open_label is not None and (prefix != "I" or label != open_label):
-            annotations.append(Annotation(open_start, open_end, open_label))
-            open_label = None
-        if not columns:
-            if tokens:
-                yield AnnotatedDocument(" ".join(tokens), annotations)
-                tokens, annotations, cursor = [], [], 0
-            continue
-        token = columns[0]
-        if label:
+        if columns:
+            token, tag = columns[0], columns[-1]
+            if token == "-DOCSTART-":
+                continue
+            if len(columns) == 1:
+                shown = line.rstrip("\n")
+                raise ConllError(f"line {number}: expected at least 2 columns, got {shown!r}")
+        else:
+            tag = "O"  # a blank line closes a span as an O tag does
+        if tag == "O":
+            if open_label is not None:
+                annotations.append(Annotation(open_start, open_end, open_label))
+                open_label = None
+            if not columns:
+                if tokens:
+                    yield AnnotatedDocument(" ".join(tokens), annotations)
+                    tokens, annotations, cursor = [], [], 0
+                continue
+        else:
+            prefix, _, label = tag.partition("-")
+            if prefix not in ("B", "I") or not label:
+                raise ConllError(f"line {number}: malformed NER tag {tag!r}")
+            if open_label is not None and (prefix == "B" or label != open_label):
+                annotations.append(Annotation(open_start, open_end, open_label))
+                open_label = None
             if open_label is None:
                 open_label, open_start = label, cursor
             open_end = cursor + len(token)
@@ -115,7 +120,7 @@ def match_annotations(
         )
     pred = sorted(predicted)
     gold_list = sorted(gold)
-    partner: dict[int, int] = {}  # predicted index -> gold index
+    partner = [-1] * len(pred)  # predicted index -> gold index, or -1
     if matching == "strict":
         free: dict[Annotation, list[int]] = {}  # the copies still unpaired
         for g, ann in enumerate(gold_list):
@@ -123,32 +128,35 @@ def match_annotations(
         for p, ann in enumerate(pred):
             if free.get(ann):
                 partner[p] = free[ann].pop()
-    else:
-        # Per label, the non-empty gold spans not yet begun, latest start first.
-        unbegun: dict[str, list[int]] = {}
+    elif pred and gold_list:
+        # Per label, (start, end, index) of the non-empty gold spans not yet
+        # begun, latest start first.
+        unbegun: dict[str, list[tuple[int, int, int]]] = {}
         for g in reversed(range(len(gold_list))):
-            if gold_list[g].start < gold_list[g].end:
-                unbegun.setdefault(gold_list[g].label, []).append(g)
+            start, end, label = gold_list[g]
+            if start < end:
+                unbegun.setdefault(label, []).append((start, end, g))
         # Per label, (end, start, index) of the gold spans that start before
         # the current prediction ends and are still unpaired.
         begun: dict[str, list[tuple[int, int, int]]] = {}
-        for p in sorted(range(len(pred)), key=lambda p: (pred[p].end, pred[p].start)):
-            ann = pred[p]
-            waiting = unbegun.get(ann.label)
-            if ann.start >= ann.end or waiting is None:
+        for end, start, p, label in sorted(
+            [(end, start, p, label) for p, (start, end, label) in enumerate(pred)]
+        ):
+            waiting = unbegun.get(label)
+            if start >= end or waiting is None:
                 continue
-            spans = begun.setdefault(ann.label, [])
-            while waiting and gold_list[waiting[-1]].start < ann.end:
-                g = waiting.pop()
-                bisect.insort(spans, (gold_list[g].end, gold_list[g].start, g))
-            first = bisect.bisect_right(spans, (ann.start, math.inf))
+            spans = begun.setdefault(label, [])
+            while waiting and waiting[-1][0] < end:
+                g_start, g_end, g = waiting.pop()
+                bisect.insort(spans, (g_end, g_start, g))
+            first = bisect.bisect_right(spans, (start, math.inf))
             if first < len(spans):
                 partner[p] = spans.pop(first)[2]
-    paired_gold = set(partner.values())
+    paired_gold = set(partner)
     return Matching(
-        pairs=tuple((pred[p], gold_list[g]) for p, g in sorted(partner.items())),
-        unmatched_predicted=tuple(a for p, a in enumerate(pred) if p not in partner),
-        unmatched_gold=tuple(a for g, a in enumerate(gold_list) if g not in paired_gold),
+        pairs=tuple([(a, gold_list[g]) for a, g in zip(pred, partner) if g >= 0]),
+        unmatched_predicted=tuple([a for a, g in zip(pred, partner) if g < 0]),
+        unmatched_gold=tuple([a for g, a in enumerate(gold_list) if g not in paired_gold]),
     )
 
 

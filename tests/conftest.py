@@ -166,8 +166,11 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             time.sleep(entry[1])
             entry = (200, {"choices": [{"message": {"content": ""}}]})
         missing = 100 if entry[0] == "truncated" else 0
+        late = entry[0] == "late"
         if entry[0] in ("truncated", "idle-close"):
             entry, self.close_connection = (200, entry[1]), True
+        elif late:
+            entry = (200, entry[1])
         status, payload, *extra = entry
         raw = payload if isinstance(payload, str) else json.dumps(payload)
         data = raw.encode("utf-8")
@@ -181,6 +184,9 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
                 self.send_header(name, value)
             self.end_headers()
             self.wfile.write(data)
+            if late:
+                time.sleep(0.05)
+                self.wfile.write(_LATE_REPLY)
         except ConnectionError:  # the client timed out and hung up first
             pass
 
@@ -196,6 +202,11 @@ class _KeepAliveHandler(_ScriptedHandler):
     # http.server (and the benchmark's stub), the headers and the body go out
     # in two writes with Nagle's algorithm on.
     protocol_version = "HTTP/1.1"
+
+
+# What a ("late", payload) entry sends 50 ms after its reply, unasked.
+_LATE_BODY = b'{"choices": [{"message": {"content": "late"}}]}'
+_LATE_REPLY = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_LATE_BODY), _LATE_BODY)
 
 
 def _raw_reply(kind: str, payload) -> list[bytes]:
@@ -241,10 +252,12 @@ class ScriptedServer:
     ``keep_alive`` it speaks HTTP/1.1 and keeps a connection open after a
     ``(status, payload)`` or ``sleep`` reply, while ``("idle-close",
     payload)`` sends a 200 that keeps it open and then hangs up, as a
-    server does with a connection left idle, and every other kind closes
-    the connection. Received requests, a proxy's
-    CONNECT among them, accumulate in ``requests``. With ``tls`` the server
-    speaks https with the certificate ``TLS_CERT``.
+    server does with a connection left idle, ``("late", payload)`` sends a
+    200 that keeps it open and 50 ms later a 200 with the content "late"
+    that no request asked for, and every other kind closes the connection.
+    Received requests, a proxy's CONNECT among them, accumulate in
+    ``requests``. With ``tls`` the server speaks https with the certificate
+    ``TLS_CERT``.
     """
 
     def __init__(self, tls: bool = False, keep_alive: bool = False):

@@ -7,6 +7,7 @@ import gc
 import json
 import os
 import random
+import select
 import socket
 import subprocess
 import sys
@@ -446,6 +447,7 @@ HEAD = b"HTTP/1.1 200 OK\r\n"
 # Replies at http.client's bounds: a 65,536-byte header line, and 100 headers.
 LONGEST_LINE = b"X-Long: " + b"a" * (65_536 - 10) + b"\r\n"
 MOST_HEADERS = b"X-Many: 1\r\n" * 100
+LENGTH = b"Content-Length: %d\r\n" % len(json.dumps(OK_BODY))
 
 
 class TestHttpExchange:
@@ -463,8 +465,14 @@ class TestHttpExchange:
             ("continue", OK_BODY),
             ("raw", HEAD + LONGEST_LINE + b"\r\n" + json.dumps(OK_BODY).encode()),
             ("raw", HEAD + MOST_HEADERS + b"\r\n" + json.dumps(OK_BODY).encode()),
+            ("raw", HEAD + LENGTH * 2 + b"\r\n" + json.dumps(OK_BODY).encode()),
+            # Chunked only as the final coding; else read until the server closes.
+            ("raw", HEAD + b"Transfer-Encoding: chunked, identity\r\n" + LENGTH + b"\r\n"
+             + json.dumps(OK_BODY).encode()),
+            ("raw", HEAD + b"Transfer-Encoding: notchunked\r\n\r\n" + json.dumps(OK_BODY).encode()),
         ],
-        ids=["chunked", "until-close", "100-continue", "longest-line", "most-headers"],
+        ids=["chunked", "until-close", "100-continue", "longest-line", "most-headers",
+             "repeated-length", "chunked-not-last", "not-chunked"],
     )
     def test_reply_framings_read(self, http_server, entry):
         http_server.script = [entry]
@@ -482,10 +490,11 @@ class TestHttpExchange:
             HEAD + b"Transfer-Encoding: chunked\r\n\r\nzz\r\n",
             HEAD + b"Transfer-Encoding: chunked\r\n\r\n5\r\n{}",
             HEAD,
+            HEAD + b"Content-Length: 3\r\n" + LENGTH + b"\r\n" + json.dumps(OK_BODY).encode(),
         ],
         ids=["line-too-long", "too-many-headers", "garbage-status", "short-status",
              "non-numeric-length", "negative-length", "bad-chunk-size", "chunk-cut-short",
-             "no-end-of-headers"],
+             "no-end-of-headers", "conflicting-lengths"],
     )
     def test_broken_framing_is_a_connection_error(self, http_server, raw):
         http_server.script = [("raw", raw)]
@@ -613,8 +622,10 @@ class TestConnectionPool:
 
     @pytest.mark.parametrize(
         "entry",
-        [(200, OK_BODY, {"Connection": "close"}), ("unsized", OK_BODY)],
-        ids=["connection-close", "unsized"],
+        [(200, OK_BODY, {"Connection": "close"}), ("unsized", OK_BODY),
+         ("raw", HEAD + b"Transfer-Encoding: chunked, identity\r\n\r\n"
+          + json.dumps(OK_BODY).encode())],
+        ids=["connection-close", "unsized", "chunked-not-last"],
     )
     def test_reply_that_ends_its_connection_is_not_reused(
         self, keep_alive_server, dialled, entry
@@ -625,6 +636,19 @@ class TestConnectionPool:
         assert dialled[0].fileno() == -1
         assert backend.complete(CONVO, self.config(keep_alive_server)) == "next"
         assert len(dialled) == 2
+
+    def test_reply_nobody_asked_for_is_not_taken_as_the_next_answer(
+        self, keep_alive_server, dialled
+    ):
+        keep_alive_server.script = [("late", OK_BODY), keep_alive_server.reply("next")]
+        backend = HttpBackend()
+        assert backend.complete(CONVO, self.config(keep_alive_server)) == "ok"
+        # The unrequested reply arrives while the connection idles in the pool.
+        assert select.select([dialled[0]], [], [], 5)[0]
+        assert backend.complete(CONVO, self.config(keep_alive_server)) == "next"
+        assert dialled[0].fileno() == -1
+        assert len(dialled) == 2
+        assert len(keep_alive_server.requests) == 2
 
     def test_timeout_mid_body_is_not_reused(self, keep_alive_server, dialled):
         keep_alive_server.script = [("trickle", OK_BODY), keep_alive_server.reply("next")]

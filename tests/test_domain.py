@@ -44,6 +44,14 @@ class TestAnnotation:
         with pytest.raises(Exception):
             Annotation(0, 1, "x").start = 5
 
+    def test_a_named_tuple_of_start_end_label(self):
+        ann = Annotation(0, 10, "person")
+        start, end, label = ann
+        assert (start, end, label) == ann == (0, 10, "person")
+        assert hash(ann) == hash((0, 10, "person"))
+        assert json.dumps(ann) == '[0, 10, "person"]'
+        assert repr(ann) == "Annotation(start=0, end=10, label='person')"
+
 
 class TestAnnotatedDocument:
     def test_annotations_are_a_set(self):
@@ -370,3 +378,15 @@ class TestRecordRoundTrip:
         record = {"text": "ab", "annotations": [{"start": start, "end": end, "label": "x"}]}
         with pytest.raises(ValueError, match=reason):
             document_from_record(record)
+
+    def test_shape_error_in_a_later_entry_wins_over_an_earlier_span_that_does_not_fit(self):
+        entries = [{"start": 0, "end": 9, "label": "x"}, {"start": 0, "end": 1}]
+        with pytest.raises(ValueError, match="^bad annotation entry {'start': 0, 'end': 1}"):
+            document_from_record({"text": "ab", "annotations": entries})
+
+    def test_first_misfit_in_sorted_order_is_the_one_named(self):
+        entries = [{"start": 1, "end": 9, "label": "x"}, {"start": 2, "end": 1, "label": "x"},
+                   {"start": 0, "end": 0, "label": "y"}]
+        with pytest.raises(ValueError) as info:
+            document_from_record({"text": "ab", "annotations": entries})
+        assert str(info.value) == "annotation (0, 0, 'y') does not fit the text: empty span"

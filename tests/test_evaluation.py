@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
+import math
 import time
+from collections.abc import Iterable
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,13 @@ from chatner import (
     evaluate,
     read_conll_file,
 )
-from chatner.evaluation import ClassMetrics, match_annotations, read_conll
+from chatner.evaluation import (
+    MATCHING_MODES,
+    ClassMetrics,
+    Matching,
+    match_annotations,
+    read_conll,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -63,6 +72,25 @@ class TestReadConll:
     def test_malformed_tag_reports_line_number(self):
         with pytest.raises(ConllError, match="line 1"):
             read_conll("a B_LOC\n")
+
+    def test_docstart_inside_an_open_span_neither_closes_it_nor_ends_the_sentence(self):
+        docs = read_conll("New B-LOC\n-DOCSTART- -X- O\nYork I-LOC\nis O\n")
+        assert docs == [AnnotatedDocument("New York is", [Annotation(0, 8, "LOC")])]
+
+    def test_one_column_docstart_skipped_but_one_column_o_is_ragged(self):
+        assert [doc.text for doc in read_conll("-DOCSTART-\n\nPeru B-LOC\n")] == ["Peru"]
+        with pytest.raises(ConllError, match="^line 2: expected at least 2 columns, got 'O'$"):
+            read_conll("a O\nO\n")
+
+    @pytest.mark.parametrize("tag", ["O-PER", "B-", "I-"])
+    def test_o_with_a_label_and_a_prefix_without_one_are_malformed(self, tag):
+        with pytest.raises(ConllError, match=f"^line 2: malformed NER tag '{tag}'$"):
+            read_conll(f"a O\nb {tag}\n")
+
+    def test_whitespace_only_line_ends_a_sentence(self):
+        docs = read_conll("New B-LOC\n \t \nYork I-LOC\n")
+        assert docs == [AnnotatedDocument("New", [Annotation(0, 3, "LOC")]),
+                        AnnotatedDocument("York", [Annotation(0, 4, "LOC")])]
 
     def test_iob1_entity_opened_by_i_tag(self):
         docs = read_conll("Peru I-LOC\nis O\n")
@@ -203,6 +231,75 @@ class TestMatching:
         used_gold = [g for _, g in result.pairs] + list(result.unmatched_gold)
         assert sorted(used_pred) == sorted(predicted)
         assert sorted(used_gold) == sorted(gold)
+
+
+def reference_match_annotations(
+    predicted: Iterable[Annotation],
+    gold: Iterable[Annotation],
+    matching: str = "relaxed",
+) -> Matching:
+    """An earlier ``match_annotations``, kept verbatim as the reference: the
+    current one must give the same pairs and unmatched spans, in the same
+    order."""
+    if matching not in MATCHING_MODES:
+        raise EvaluationError(
+            f"matching must be one of {MATCHING_MODES}, got {matching!r}"
+        )
+    pred = sorted(predicted)
+    gold_list = sorted(gold)
+    partner: dict[int, int] = {}  # predicted index -> gold index
+    if matching == "strict":
+        free: dict[Annotation, list[int]] = {}  # the copies still unpaired
+        for g, ann in enumerate(gold_list):
+            free.setdefault(ann, []).append(g)
+        for p, ann in enumerate(pred):
+            if free.get(ann):
+                partner[p] = free[ann].pop()
+    else:
+        # Per label, the non-empty gold spans not yet begun, latest start first.
+        unbegun: dict[str, list[int]] = {}
+        for g in reversed(range(len(gold_list))):
+            if gold_list[g].start < gold_list[g].end:
+                unbegun.setdefault(gold_list[g].label, []).append(g)
+        # Per label, (end, start, index) of the gold spans that start before
+        # the current prediction ends and are still unpaired.
+        begun: dict[str, list[tuple[int, int, int]]] = {}
+        for p in sorted(range(len(pred)), key=lambda p: (pred[p].end, pred[p].start)):
+            ann = pred[p]
+            waiting = unbegun.get(ann.label)
+            if ann.start >= ann.end or waiting is None:
+                continue
+            spans = begun.setdefault(ann.label, [])
+            while waiting and gold_list[waiting[-1]].start < ann.end:
+                g = waiting.pop()
+                bisect.insort(spans, (gold_list[g].end, gold_list[g].start, g))
+            first = bisect.bisect_right(spans, (ann.start, math.inf))
+            if first < len(spans):
+                partner[p] = spans.pop(first)[2]
+    paired_gold = set(partner.values())
+    return Matching(
+        pairs=tuple((pred[p], gold_list[g]) for p, g in sorted(partner.items())),
+        unmatched_predicted=tuple(a for p, a in enumerate(pred) if p not in partner),
+        unmatched_gold=tuple(a for g, a in enumerate(gold_list) if g not in paired_gold),
+    )
+
+
+# Spans of three labels over a short text: overlaps, nesting, duplicates,
+# empty and inverted spans are all common.
+MANY_SPANS = st.lists(
+    st.builds(Annotation, st.integers(0, 12), st.integers(0, 12), st.sampled_from("abc")),
+    max_size=14,
+)
+
+
+@given(MANY_SPANS, MANY_SPANS, st.sampled_from(["relaxed", "strict"]))
+@settings(max_examples=500, deadline=None)
+def test_matching_pairs_exactly_as_the_reference(predicted, gold, matching):
+    result = match_annotations(predicted, gold, matching)
+    expected = reference_match_annotations(predicted, gold, matching)
+    assert result.pairs == expected.pairs
+    assert result.unmatched_predicted == expected.unmatched_predicted
+    assert result.unmatched_gold == expected.unmatched_gold
 
 
 class TestAdversarialSizes:

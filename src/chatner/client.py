@@ -168,9 +168,9 @@ class HttpBackend:
     Connections are kept open and reused. After a reply, the socket goes
     back to this backend's pool of idle ones only if the reply was HTTP/1.1,
     did not say ``Connection: close``, was framed by ``Content-Length`` or
-    chunked, and was read to its end; any other outcome, an error included,
-    closes it. An idle socket that has bytes waiting, or an end of stream,
-    is closed rather than reused. A reused connection that fails before any
+    chunked, and was read to its end with nothing past it; any other
+    outcome, an error included, closes it. An idle socket that has bytes
+    waiting, or an end of stream, is closed rather than reused. A reused connection that fails before any
     byte of the reply arrives (the server closed it while it idled) is
     reopened once. Idle sockets are closed when the backend is
     garbage-collected. Redirects are not followed: they would resend the API
@@ -281,8 +281,13 @@ class HttpBackend:
             reply = io.BufferedReader(reader)
             version, status, reply_headers = _read_head(reply)
             payload, framed = _read_body(reply, reply_headers)
+            # Bytes read past the body answer no request, and poll() cannot
+            # see them before the next one: those the buffered reader holds,
+            # and those that TLS has decrypted and holds.
             keep = (framed and version == b"HTTP/1.1"
-                    and "close" not in reply_headers.get("connection", "").lower())
+                    and "close" not in reply_headers.get("connection", "").lower()
+                    and reply.tell() == reader.received
+                    and not (hasattr(sock, "pending") and sock.pending()))
         except TimeoutError:
             raise
         except OSError:
@@ -372,6 +377,11 @@ class _DeadlineReader(io.RawIOBase):
         self.received += count
         return count
 
+    def tell(self) -> int:
+        """The bytes received; a BufferedReader's ``tell()`` subtracts those
+        it holds unread."""
+        return self.received
+
 
 def _proxy(
     proxy: str | None, authority: str, port: int
@@ -455,7 +465,8 @@ def _read_body(reply: BinaryIO, headers: dict[str, str]) -> tuple[bytes, bool]:
             if size < 0:
                 raise ValueError("negative chunk size")
             chunks.append(_read_exactly(reply, size))
-            _read_line(reply)
+            if _read_line(reply) not in (b"\r\n", b"\n"):
+                raise ValueError("a chunk is longer than its size line says")
         while _read_line(reply).strip():  # trailers
             pass
         return b"".join(chunks), True

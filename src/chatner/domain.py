@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -86,24 +86,6 @@ def check_spans(doc: AnnotatedDocument) -> None:
             f"annotation ({ann.start}, {ann.end}, {ann.label!r}) does not fit "
             f"the text: {reason}"
         )
-
-
-def first_overlap(
-    annotations: Iterable[Annotation],
-) -> tuple[Annotation, Annotation] | None:
-    """The first pair of annotations whose spans share at least one character.
-
-    Pairs are discovered in (start, end, label) order; returns None when all
-    spans are disjoint. Touching spans (one ends where the next starts) do
-    not overlap.
-    """
-    widest: Annotation | None = None
-    for ann in sorted(annotations):
-        if widest is not None and ann.start < widest.end:
-            return widest, ann
-        if widest is None or ann.end > widest.end:
-            widest = ann
-    return None
 
 
 class EntitySchema(Mapping):

@@ -39,7 +39,9 @@ from .domain import AnnotatedDocument, Annotation, EntitySchema, check_delimiter
 from .errors import ConfigError, ParseError
 
 _SPACE_RE = re.compile(r"(\s+)")
-_JSON_SYNTAX_RE = re.compile(r'[{}"\\]')
+# A backslash escapes exactly the next character (RFC 8259, section 7), so it
+# is read with that character as one token.
+_JSON_TOKEN_RE = re.compile(r'\\.|[{}"]', re.DOTALL)
 
 # Work (edit-graph cells plus diagonal moves, checked once per round) the
 # token diff may spend, about half a second in CPython; past it the unpaired
@@ -436,45 +438,39 @@ def extract_json_block(text: str) -> str | None:
     """The first balanced ``{...}`` block in ``text``, or None.
 
     Returns the block of the earliest opening brace whose block closes,
-    honouring JSON string literals and escapes, in one linear pass. Scans
-    from different braces differ only in nesting depth and in being outside
-    a string, inside one, or just past a backslash inside one, so each of
-    those three phases keeps a stack whose entry ``k`` from the top is the
-    earliest start now ``k`` deep. A closing brace outside strings closes
-    the top entry; phases that meet merge, which costs one step per entry
-    that disappears.
+    honouring JSON string literals and escapes, in one linear pass. A
+    backslash is read with the character after it as one token: inside a
+    string the pair is one escaped character, outside it the backslash is
+    plain text and the character counts on its own. Scans from different
+    braces then differ only in nesting depth and in being outside a string
+    or inside one, so each of those two phases keeps a stack whose entry
+    ``k`` from the top is the earliest start now ``k`` deep. A closing brace
+    outside strings closes the top entry; an escaped quote brings the scans
+    outside into a string and merges them with those already there, which
+    costs one step per entry that disappears.
     """
     first = text.find("{")
     if first == -1:
         return None
     outside: list[int] = []
     inside: list[int] = []
-    escaped: list[int] = []
     best = best_end = -1
-    previous = first
-    for match in _JSON_SYNTAX_RE.finditer(text, first):
-        index = match.start()
-        char = match.group()
-        if escaped and index > previous + 1:
-            inside = _merge_depths(inside, escaped)
-            escaped = []
-        previous = index
-        # Whatever follows a backslash in a string is consumed by it.
-        carried, escaped = escaped, []
+    for match in _JSON_TOKEN_RE.finditer(text, first):
+        token = match.group()
+        char = token[-1]
         if char == '"':
-            outside, inside = inside, outside
-        elif char == "\\":
-            inside, escaped = [], inside
+            if len(token) == 1:
+                outside, inside = inside, outside
+            elif outside:
+                inside, outside = _merge_depths(inside, outside), []
         elif char == "{":
-            outside.append(index)
-        elif outside:
+            outside.append(match.end() - 1)
+        elif char == "}" and outside:
             start = outside.pop()
             if best == -1 or start < best:
-                best, best_end = start, index
-            if not (outside or inside or carried):
+                best, best_end = start, match.end() - 1
+            if not (outside or inside):
                 break
-        if carried:
-            inside = _merge_depths(inside, carried)
     return None if best == -1 else text[best : best_end + 1]
 
 

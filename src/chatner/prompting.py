@@ -7,7 +7,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .domain import AnnotatedDocument, EntitySchema, NerConfig, check_spans, first_overlap
+from .domain import AnnotatedDocument, EntitySchema, NerConfig, check_spans
 from .errors import ConfigError, ConversationError, RenderError
 from .templates import PromptTemplateSet
 
@@ -100,38 +100,35 @@ def render_inline(
     Default tags are ``<label>``/``</label>``. A custom delimiter pair wraps
     mentions instead, which only works when the document carries a single
     label (one pair cannot encode several entity types). Overlapping
-    annotations cannot be rendered in-line and raise RenderError.
+    annotations cannot be rendered in-line and raise RenderError, which names
+    the first overlapping pair in (start, end, label) order; touching spans
+    do not overlap.
     """
     try:
         check_spans(doc)
     except ValueError as exc:
         raise RenderError(f"invalid document: {exc}") from exc
-    overlap = first_overlap(doc.annotations)
-    if overlap is not None:
-        raise RenderError(
-            f"overlapping annotations cannot be rendered in-line: "
-            f"{overlap[0]} and {overlap[1]}"
-        )
-    annotations = doc.sorted_annotations()
+    parts: list[str] = []
+    cursor, previous = 0, None
+    for ann in doc.sorted_annotations():
+        # Spans so far are disjoint, so the previous one reaches furthest.
+        if ann.start < cursor:
+            raise RenderError(
+                f"overlapping annotations cannot be rendered in-line: {previous} and {ann}"
+            )
+        if delimiters is not None:
+            open_, close = delimiters
+        else:
+            open_, close = f"<{ann.label}>", f"</{ann.label}>"
+        parts += (doc.text[cursor : ann.start], open_, doc.text[ann.start : ann.end], close)
+        cursor, previous = ann.end, ann
     if delimiters is not None:
-        labels = {ann.label for ann in annotations}
+        labels = {ann.label for ann in doc.annotations}
         if len(labels) > 1:
             raise RenderError(
                 "custom delimiters support a single label per document, "
                 f"got {sorted(labels)}"
             )
-    parts: list[str] = []
-    cursor = 0
-    for ann in annotations:
-        parts.append(doc.text[cursor : ann.start])
-        if delimiters is not None:
-            open_, close = delimiters
-        else:
-            open_, close = f"<{ann.label}>", f"</{ann.label}>"
-        parts.append(open_)
-        parts.append(doc.text[ann.start : ann.end])
-        parts.append(close)
-        cursor = ann.end
     parts.append(doc.text[cursor:])
     return "".join(parts)
 

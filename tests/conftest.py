@@ -165,11 +165,11 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         if entry[0] == "sleep":
             time.sleep(entry[1])
             entry = (200, {"choices": [{"message": {"content": ""}}]})
-        missing = 100 if entry[0] == "truncated" else 0
-        late = entry[0] == "late"
-        if entry[0] in ("truncated", "idle-close"):
+        kind = entry[0]
+        missing = 100 if kind == "truncated" else 0
+        if kind in ("truncated", "idle-close"):
             entry, self.close_connection = (200, entry[1]), True
-        elif late:
+        elif kind in ("late", "extra"):
             entry = (200, entry[1])
         status, payload, *extra = entry
         raw = payload if isinstance(payload, str) else json.dumps(payload)
@@ -183,8 +183,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             for name, value in (extra[0] if extra else {}).items():
                 self.send_header(name, value)
             self.end_headers()
-            self.wfile.write(data)
-            if late:
+            self.wfile.write(data + _LATE_REPLY if kind == "extra" else data)
+            if kind == "late":
                 time.sleep(0.05)
                 self.wfile.write(_LATE_REPLY)
         except ConnectionError:  # the client timed out and hung up first
@@ -204,7 +204,8 @@ class _KeepAliveHandler(_ScriptedHandler):
     protocol_version = "HTTP/1.1"
 
 
-# What a ("late", payload) entry sends 50 ms after its reply, unasked.
+# What a ("late", payload) entry sends 50 ms after its reply, and an
+# ("extra", payload) entry in the same write as its body, unasked.
 _LATE_BODY = b'{"choices": [{"message": {"content": "late"}}]}'
 _LATE_REPLY = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_LATE_BODY), _LATE_BODY)
 
@@ -254,7 +255,9 @@ class ScriptedServer:
     payload)`` sends a 200 that keeps it open and then hangs up, as a
     server does with a connection left idle, ``("late", payload)`` sends a
     200 that keeps it open and 50 ms later a 200 with the content "late"
-    that no request asked for, and every other kind closes the connection.
+    that no request asked for, ``("extra", payload)`` sends that unasked
+    reply in the same write as the body, and every other kind closes the
+    connection.
     Received requests, a proxy's CONNECT among them, accumulate in
     ``requests``. With ``tls`` the server speaks https with the certificate
     ``TLS_CERT``.
@@ -319,5 +322,12 @@ def keep_alive_server():
 @pytest.fixture
 def https_server():
     server = ScriptedServer(tls=True)
+    yield server
+    server.close()
+
+
+@pytest.fixture
+def https_keep_alive_server():
+    server = ScriptedServer(tls=True, keep_alive=True)
     yield server
     server.close()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import base64
 import gc
+import http.client
+import io
 import json
 import os
 import random
@@ -26,6 +28,8 @@ from chatner.client import (
     BackendConfig,
     HttpBackend,
     MockBackend,
+    _read_body,
+    _read_head,
     backoff_delay_ms,
     build_request_body,
     chat_complete,
@@ -113,6 +117,19 @@ for thread in threads:
 for thread in threads:
     thread.join(timeout=30)
 print(sorted(replies))
+"""
+
+
+# Two requests, one after the other, on one backend: the length of the first
+# answer and the second answer.
+TWO_REQUESTS_PROBE = """
+from chatner import ChatMessage
+from chatner.client import BackendConfig, HttpBackend
+
+convo = (ChatMessage("system", "sys"), ChatMessage("user", "hi"))
+config = BackendConfig(base_url={base_url!r}, api_key="k", timeout=10)
+backend = HttpBackend()
+print(len(backend.complete(convo, config)), backend.complete(convo, config))
 """
 
 
@@ -489,11 +506,13 @@ class TestHttpExchange:
             HEAD + b"Content-Length: -2\r\n\r\n{}",
             HEAD + b"Transfer-Encoding: chunked\r\n\r\nzz\r\n",
             HEAD + b"Transfer-Encoding: chunked\r\n\r\n5\r\n{}",
+            HEAD + b"Transfer-Encoding: chunked\r\n\r\n1\r\n{}\r\n0\r\n\r\n",
             HEAD,
             HEAD + b"Content-Length: 3\r\n" + LENGTH + b"\r\n" + json.dumps(OK_BODY).encode(),
         ],
         ids=["line-too-long", "too-many-headers", "garbage-status", "short-status",
              "non-numeric-length", "negative-length", "bad-chunk-size", "chunk-cut-short",
+             "chunk-past-its-size",
              "no-end-of-headers", "conflicting-lengths"],
     )
     def test_broken_framing_is_a_connection_error(self, http_server, raw):
@@ -542,6 +561,149 @@ class TestHttpExchange:
         expected = "Basic " + base64.b64encode(b"ada:p@ss").decode()
         assert [r["proxy_authorization"] for r in http_server.requests] == [expected]
         assert http_server.requests[0]["authorization"] == (None if scheme == "https" else "Bearer k")
+
+
+class _ReplyBytes:
+    """A socket whose only use is ``makefile``, holding one reply."""
+
+    def __init__(self, raw: bytes):
+        self._raw = raw
+
+    def makefile(self, mode):
+        return io.BytesIO(self._raw)
+
+
+def _te_framing_differs(headers) -> bool:
+    """Whether Transfer-Encoding makes chatner and http.client frame the
+    body differently. chatner reads it chunked where chunked is the final
+    coding of the last header, stripped, and until close under any other
+    coding. http.client reads it chunked only where the first header,
+    trailing blanks kept, is exactly "chunked", and else by Content-Length."""
+    codings = [value for name, _, value in headers if name.lower() == "transfer-encoding"]
+    ours = codings[-1].strip() if codings else ""
+    theirs = codings[0].lstrip(" \t") if codings else ""
+    chunked = ours.rpartition(",")[2].strip().lower() == "chunked"
+    if chunked != (theirs.lower() == "chunked"):
+        return True
+    return bool(ours) and not chunked and any(
+        name.lower() == "content-length" for name, _, _ in headers
+    )
+
+
+# Replies that chatner reads to a status and body other than http.client's,
+# or that http.client refuses, each for the reason in its comment. chatner
+# follows RFC 9112 where the two part.
+KNOWN_DIVERGENCES = {
+    # An interim reply other than 100 Continue (103 Early Hints, say): chatner
+    # skips every 1xx, as RFC 9110 section 15.2 asks; http.client skips only
+    # 100 and returns any other 1xx as the final reply.
+    "interim-1xx": lambda reply: any(code != "100" for code in reply["interim"]),
+    # A major version other than 1: http.client refuses it, chatner reads the
+    # reply with HTTP/1.1 framing whatever version it names.
+    "version": lambda reply: not (reply["version"].startswith("HTTP/1.")
+                                  or reply["version"] == "HTTP/0.9"),
+    # 204 and 304 have no body (RFC 9112 section 6.3); http.client reads
+    # none, chatner reads what the headers frame and uses only a 200's body.
+    "no-body-status": lambda reply: reply["status"] in ("204", "304"),
+    # Blanks between a field name and its colon: RFC 9112 section 5.1 has a
+    # recipient reject the field or strip the blanks; chatner strips them,
+    # http.client's parser ends the headers at that line.
+    "blank-before-colon": lambda reply: any(gap for _, gap, _ in reply["headers"]),
+    # Chunked framing only where chunked is the final coding of the last
+    # Transfer-Encoding header, and else the body runs until the connection
+    # closes, whatever Content-Length says (RFC 9112 section 6.3); http.client
+    # reads a chunked body only where the first header is exactly
+    # "chunked", and otherwise honours Content-Length.
+    "transfer-encoding": lambda reply: _te_framing_differs(reply["headers"]),
+}
+
+_NAMES = ["Content-Length", "content-length", "CONTENT-LENGTH", "Content-length",
+          "Transfer-Encoding", "transfer-encoding", "TRANSFER-ENCODING", "X-Other"]
+
+
+@st.composite
+def http_replies(draw):
+    """A reply as bytes, whole or cut, with the parts it was built from."""
+    body = draw(st.binary(max_size=24))
+    chunked = draw(st.booleans())
+    if chunked:
+        cuts = sorted(draw(st.lists(st.integers(0, len(body)), max_size=3)))
+        pieces = [body[a:b] for a, b in zip([0, *cuts], [*cuts, len(body)]) if b > a]
+        extension = st.sampled_from(["", ";ext", ";a=b", " ;x=\"y\""])
+        digits = draw(st.sampled_from(["%x", "%X", "%03x"]))
+        # A chunk may run past its size line ("x" before its CRLF).
+        ending = st.sampled_from([b"\r\n", b"\r\n", b"\r\n", b"x\r\n"])
+        framed = b"".join(
+            (digits % len(piece) + draw(extension) + "\r\n").encode() + piece + draw(ending)
+            for piece in pieces
+        )
+        framed += ("0" + draw(extension) + "\r\n").encode()
+        framed += b"".join(draw(st.lists(st.sampled_from([b"X-Trailer: t\r\n", b"Expires: 0\r\n"]),
+                                         max_size=2)))
+        framed += b"\r\n"
+    else:
+        framed = body
+    lengths = [str(len(framed))] * 4 + [str(len(framed) + 3), str(max(len(framed) - 1, 0)),
+                                         "0", "00" + str(len(framed)), "-1", "+4", "", "1x"]
+    codings = ["chunked", "Chunked", "identity", "gzip, chunked", "chunked, gzip",
+               "chunked,identity", "gzip"]
+    # Mostly a well-formed header that frames the body as built, then
+    # headers that may repeat, contradict or misspace it.
+    headers = []
+    if draw(st.integers(0, 3)):
+        kind = "transfer-encoding" if chunked else "content-length"
+        name = draw(st.sampled_from([name for name in _NAMES if name.lower() == kind]))
+        value = "chunked" if chunked else str(len(framed))
+        headers.append((name, "", draw(st.sampled_from(["", " "])) + value))
+    for name in draw(st.lists(st.sampled_from(_NAMES), max_size=3)):
+        if name.lower() == "content-length":
+            value = draw(st.sampled_from(lengths))
+        elif name.lower() == "transfer-encoding":
+            value = draw(st.sampled_from(codings))
+        else:
+            value = "x"
+        before = draw(st.sampled_from(["", " ", "  ", "\t"]))
+        after = draw(st.sampled_from(["", "", " "]))
+        gap = draw(st.sampled_from(["", "", "", " "]))
+        headers.append((name, gap, before + value + after))
+    interim = draw(st.lists(st.sampled_from(["100", "100", "100", "103"]), max_size=2))
+    version = draw(st.sampled_from(["HTTP/1.1"] * 3 + ["HTTP/1.0", "HTTP/0.9", "HTTP/2"]))
+    status = draw(st.sampled_from(["200", "200", "200", "204", "304", "404", "429", "503",
+                                   "101", "20", "2000", "abc"]))
+    reason = draw(st.sampled_from([" OK", "", " ", "\tOK", " Not Found"]))
+    end = draw(st.sampled_from(["\r\n", "\n"]))
+    head = "".join(f"HTTP/1.1 {code} Info{end}{end}" for code in interim)
+    head += f"{version} {status}{reason}{end}"
+    head += "".join(f"{name}{gap}:{value}{end}" for name, gap, value in headers) + end
+    raw = head.encode("latin-1") + framed
+    if draw(st.integers(0, 3)) == 0:
+        raw = raw[: draw(st.integers(0, len(raw)))]
+    return raw, {"interim": interim, "version": version, "status": status, "headers": headers}
+
+
+class TestReplyReaderOracle:
+    """chatner's reply reader against http.client's on generated replies."""
+
+    @given(http_replies())
+    @settings(max_examples=500, deadline=None)
+    def test_reads_like_http_client_or_refuses(self, case):
+        raw, reply = case
+        stream = io.BytesIO(raw)
+        try:
+            _, status, headers = _read_head(stream)
+            body, _ = _read_body(stream, headers)
+        except (ValueError, OSError):
+            return  # chatner may refuse any reply
+        response = http.client.HTTPResponse(_ReplyBytes(raw), method="POST")
+        try:
+            response.begin()
+            theirs = (response.status, response.read())
+        except (http.client.HTTPException, OSError, ValueError) as exc:
+            theirs = exc
+        if theirs == (status, body):
+            return
+        known = [name for name, applies in KNOWN_DIVERGENCES.items() if applies(reply)]
+        assert known, f"chatner read {(status, body)!r}, http.client {theirs!r}, from {raw!r}"
 
 
 @pytest.fixture
@@ -649,6 +811,33 @@ class TestConnectionPool:
         assert dialled[0].fileno() == -1
         assert len(dialled) == 2
         assert len(keep_alive_server.requests) == 2
+
+    def test_reply_read_ahead_of_the_next_request_is_not_reused(
+        self, keep_alive_server, dialled
+    ):
+        # The unrequested reply comes in the body's write, so the client's
+        # reader holds it and the socket itself has nothing left to poll.
+        keep_alive_server.script = [("extra", OK_BODY), keep_alive_server.reply("next")]
+        backend = HttpBackend()
+        assert backend.complete(CONVO, self.config(keep_alive_server)) == "ok"
+        assert dialled[0].fileno() == -1
+        assert backend.complete(CONVO, self.config(keep_alive_server)) == "next"
+        assert len(dialled) == 2
+        assert len(keep_alive_server.requests) == 2
+
+    def test_reply_held_by_tls_past_the_body_is_not_reused(self, https_keep_alive_server):
+        # A body of whole reader buffers is read straight from TLS, so a
+        # reply sent in the same write stays decrypted inside the TLS object,
+        # where neither the reader's buffer nor poll() shows it.
+        server = https_keep_alive_server
+        content = "x" * (io.DEFAULT_BUFFER_SIZE - len(json.dumps(OK_BODY)) + len("ok"))
+        body = json.dumps({"choices": [{"message": {"content": content}}]})
+        assert len(body) == io.DEFAULT_BUFFER_SIZE
+        server.script = [("extra", body), server.reply("next")]
+        out = run_python(TWO_REQUESTS_PROBE.format(base_url=server.base_url),
+                         SSL_CERT_FILE=str(TLS_CERT))
+        assert out == f"{len(content)} next"
+        assert len({r["client"] for r in server.requests}) == 2
 
     def test_timeout_mid_body_is_not_reused(self, keep_alive_server, dialled):
         keep_alive_server.script = [("trickle", OK_BODY), keep_alive_server.reply("next")]

@@ -19,7 +19,7 @@ from chatner import (
     document_from_record,
     document_to_record,
 )
-from chatner.domain import NerConfig, check_spans, first_overlap
+from chatner.domain import NerConfig, check_spans
 from chatner.templates import PromptTemplateSet
 
 
@@ -164,19 +164,6 @@ class TestAnnotationText:
         start = data.draw(st.integers(0, len(text) - 1))
         end = data.draw(st.integers(start + 1, len(text)))
         fits(text, Annotation(start, end, "l"))
-
-
-class TestFirstOverlap:
-    def test_disjoint_including_touching_spans(self):
-        assert first_overlap([Annotation(0, 2, "a"), Annotation(2, 4, "b")]) is None
-
-    def test_overlapping_pair_found(self):
-        pair = first_overlap([Annotation(1, 3, "a"), Annotation(2, 4, "b")])
-        assert pair == (Annotation(1, 3, "a"), Annotation(2, 4, "b"))
-
-    def test_containment_counts_as_overlap(self):
-        pair = first_overlap([Annotation(0, 9, "a"), Annotation(3, 4, "b")])
-        assert pair == (Annotation(0, 9, "a"), Annotation(3, 4, "b"))
 
 
 class TestEntitySchema:

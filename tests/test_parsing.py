@@ -979,6 +979,24 @@ class TestInlineRoundTrip:
         assert report.warnings == ()
 
 
+def _brace_soup(n):
+    """Seeded text with three opening braces to each closing one, so that
+    some scan stays open to the end."""
+    return "".join(random.Random(n).choices('{{{}"\\a', k=n))
+
+
+# Inputs of size about n that a scan must read to the end, or nearly, each
+# with an n whose scan took 50-65 ms on a 2-vCPU machine.
+GROWTH_FAMILIES = {
+    "opening braces": (200_000, lambda n: "{" * n),
+    "braces opening strings": (100_000, lambda n: '{"' * n),
+    "braces and escaped quotes": (60_000, lambda n: '{\\"' * n),
+    "escaped backslashes in a string": (250_000, lambda n: '{"' + "\\\\" * n + '"}'),
+    "nested objects": (50_000, lambda n: '{"a":' * n + "1" + "}" * n),
+    "brace soup": (250_000, _brace_soup),
+}
+
+
 class TestExtractJsonBlock:
     def test_prose_wrapped_object(self):
         assert extract_json_block('Sure! {"a": [1]} hope that helps') == '{"a": [1]}'
@@ -1020,8 +1038,12 @@ class TestExtractJsonBlock:
                         return text[start : index + 1]
         return None
 
-    @given(st.text(alphabet='{}"\\a', max_size=40))
+    @given(st.text(alphabet='{}"\\a\n', max_size=40))
     @example('{{"{\\""}')
+    @example('{\\{}')  # an escaped brace outside strings still opens
+    @example('{\\"{"}}')  # an escaped quote outside strings opens a string
+    @example('{"\\\\"}')  # an escaped backslash leaves the quote bare
+    @example('{"a\\')  # a trailing backslash escapes nothing
     @settings(max_examples=1000, deadline=None)
     def test_matches_the_scan_from_every_brace(self, text):
         assert extract_json_block(text) == self._first_closing_block(text)
@@ -1034,6 +1056,28 @@ class TestExtractJsonBlock:
         started = time.perf_counter()
         assert extract_json_block("{" * 20_000) is None
         assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("family", sorted(GROWTH_FAMILIES))
+    def test_time_grows_linearly(self, family):
+        """Four times the input takes less than eight times as long; a
+        quadratic scan would take sixteen. Each size is timed as the least
+        of three runs in process time, at a size whose run takes at least
+        50 ms, doubled until it does."""
+        n, make = GROWTH_FAMILIES[family]
+
+        def least_time(n):
+            text = make(n)
+            times = []
+            for _ in range(3):
+                started = time.process_time()
+                extract_json_block(text)
+                times.append(time.process_time() - started)
+            return min(times)
+
+        while (small := least_time(n)) < 0.05:
+            n *= 2
+        large = least_time(4 * n)
+        assert large < 8 * small, f"{family}: {small:.3f} s at {n}, {large:.3f} s at {4 * n}"
 
 
 class TestParseJsonAnswer:

@@ -127,6 +127,29 @@ class TestRenderInline:
         assert "start=0, end=4" in str(err.value)
         assert "start=2, end=4" in str(err.value)
 
+    def test_touching_spans_render(self):
+        doc = AnnotatedDocument("abcd", [Annotation(0, 2, "a"), Annotation(2, 4, "b")])
+        assert render_inline(doc) == "<a>ab</a><b>cd</b>"
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(Annotation(1, 3, "a"), Annotation(2, 4, "b")),
+         (Annotation(0, 9, "a"), Annotation(3, 4, "b"))],
+        ids=["overlap", "containment"],
+    )
+    def test_first_overlapping_pair_named(self, first, second):
+        doc = AnnotatedDocument("abcdefghij", [second, first, Annotation(5, 6, "c")])
+        with pytest.raises(RenderError) as err:
+            render_inline(doc)
+        assert str(err.value) == (
+            f"overlapping annotations cannot be rendered in-line: {first} and {second}"
+        )
+
+    def test_overlap_reported_before_mixed_labels_under_delimiters(self):
+        doc = AnnotatedDocument("abcd", [Annotation(0, 3, "a"), Annotation(2, 4, "b")])
+        with pytest.raises(RenderError, match="overlapping"):
+            render_inline(doc, ("@@", "##"))
+
     def test_delimiters_with_multi_label_doc_rejected(self):
         doc = AnnotatedDocument(
             "a b", [Annotation(0, 1, "x"), Annotation(2, 3, "y")]

@@ -427,7 +427,8 @@ def _read_line(reply: BinaryIO) -> bytes:
 
 
 def _read_head(reply: BinaryIO) -> tuple[bytes, int, dict[str, str]]:
-    """The version, the status and the headers of the final reply, past any 1xx."""
+    """The version, the status and the headers of the final reply, past any
+    1xx; the lines of a repeated field are joined into one list."""
     while True:
         line = _read_line(reply)
         version, _, rest = line.partition(b" ")
@@ -444,6 +445,8 @@ def _read_head(reply: BinaryIO) -> tuple[bytes, int, dict[str, str]]:
             name, value = name.strip().lower(), value.strip()
             if name == "content-length" and headers.get(name, value) != value:
                 raise ValueError("the reply has Content-Length headers that differ")
+            if name in headers and name != "content-length":
+                value = f"{headers[name]}, {value}"  # RFC 9110 section 5.3
             headers[name] = value
         else:
             raise ValueError(f"the reply has more than {_MAX_HEADERS} headers")
@@ -452,14 +455,15 @@ def _read_head(reply: BinaryIO) -> tuple[bytes, int, dict[str, str]]:
 
 
 def _read_body(reply: BinaryIO, headers: dict[str, str]) -> tuple[bytes, bool]:
-    """The body: chunked when that is the final Transfer-Encoding, until the
+    """The body: chunked when that is the last Transfer-Encoding coding,
+    empty list elements not counted (RFC 9110 section 5.6.1), until the
     server closes under any other, else Content-Length bytes, else until the
     server closes; and whether it was framed, so that the connection can
     carry another request."""
-    coding = headers.get("transfer-encoding")
-    if coding and coding.rpartition(",")[2].strip().lower() != "chunked":
+    codings = [c for c in map(str.strip, headers.get("transfer-encoding", "").split(",")) if c]
+    if codings and codings[-1].lower() != "chunked":
         return reply.read(), False
-    if coding:
+    if codings:
         chunks = []
         while size := int(_read_line(reply).split(b";")[0], 16):
             if size < 0:

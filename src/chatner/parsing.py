@@ -1,11 +1,11 @@
 """Turning model completions back into character-offset annotations.
 
 The in-line parser never trusts the model's echo blindly: the completion
-with its tags stripped is aligned against the original text and every
-recovered span is verified to cover the exact mention the model enclosed.
-Spans the alignment cannot place verbatim are relocated by exact substring
-search, and dropped with a warning as a last resort, so a recovered
-annotation is always a verbatim occurrence of the enclosed mention.
+with its tags stripped is aligned against the original text, span starts
+map through the alignment, and a mention is kept where the original holds
+it verbatim at its mapped start. Other mentions are relocated by exact
+substring search, and dropped with a warning as a last resort, so a
+recovered annotation is always a verbatim occurrence of the enclosed mention.
 
 Alignment pairs tokens by a longest common subsequence: the common prefix
 and suffix are paired directly, tokens missing from the other side are
@@ -18,7 +18,7 @@ work for a text with single spaces between its tokens; other texts, and
 tags, take one ``re.split`` each. No Python loop builds a string, an offset
 or an alignment piece per token, and no offset is stored per token. Tags
 are paired on a stack as they are read, in the pass that strips them, and
-all spans of a reply map through the alignment in one forward walk.
+all span starts of a reply map through the alignment in one forward walk.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def align_texts(stripped: str, original: str) -> tuple[_Segment, ...]:
     difflib up to a fixed length; longer gaps map proportionally.
 
     Returns segments that tile the stripped text left to right, none of them
-    empty on the stripped side; ``_map_spans`` maps offsets through them.
+    empty on the stripped side; ``_map_starts`` maps offsets through them.
     Identical inputs give one segment; an empty stripped text gives none.
     """
     if stripped == original:
@@ -312,43 +312,31 @@ def _scan_tags(
     return "".join(texts), spans
 
 
-def _map_spans(
-    segments: Sequence[_Segment], spans: Sequence[tuple[int, int, str]]
-) -> list[tuple[int, int]]:
-    """Map every stripped span through the segments in one forward walk.
+def _map_starts(segments: Sequence[_Segment], starts: Sequence[int]) -> list[int]:
+    """Map span starts through the segments in one forward walk.
 
-    A start maps through the segment that holds it, and an end on a segment
-    boundary through the segment on its left, as an exclusive end wants; a
-    mapped end never falls before its mapped start. A segment maps offsets
+    A start maps through the last segment that starts at or before it,
     proportionally, which is offset by offset when both sides have equal
-    lengths. With no segments every offset maps to 0. Starts and ends are
-    sorted once, an end before a start at the same offset, so the walk's
+    lengths; one at or past that segment's end maps to its end. With no
+    segments every start maps to 0. Starts are sorted once, so the walk's
     segment only moves forward.
     """
-    # Key 2 * offset for an end, 2 * offset + 1 for a start: ends first.
-    keys = [2 * end for _, end, _ in spans] + [2 * start + 1 for start, _, _ in spans]
-    mapped = [0] * len(keys)
+    mapped = [0] * len(starts)
     index, last = 0, len(segments) - 1
     s_lo, s_hi, o_lo, o_hi = segments[0] if segments else (0, 0, 0, 0)
-    for at in sorted(range(len(keys)), key=keys.__getitem__):
-        key = keys[at]
-        offset = key >> 1
-        # On to the last segment that starts at or before a start, or before
-        # an end: either way, twice its start is below the key.
-        while index < last and 2 * segments[index + 1][0] < key:
+    for at in sorted(range(len(starts)), key=starts.__getitem__):
+        offset = starts[at]
+        while index < last and segments[index + 1][0] <= offset:
             index += 1
             s_lo, s_hi, o_lo, o_hi = segments[index]
         if offset >= s_hi:
             mapped[at] = o_hi
-        elif offset <= s_lo:
-            mapped[at] = o_lo
         elif s_hi - s_lo == o_hi - o_lo:
             mapped[at] = o_lo + offset - s_lo
         else:
             # Proportional, and exact at both ends: k * n / k is n in floating point.
             mapped[at] = o_lo + round((offset - s_lo) * (o_hi - o_lo) / (s_hi - s_lo))
-    starts, ends = mapped[len(spans) :], mapped[: len(spans)]
-    return list(zip(starts, map(max, starts, ends)))
+    return mapped
 
 
 def _nearest_occurrence(text: str, needle: str, near: int) -> int:
@@ -389,10 +377,10 @@ def parse_inline(
     Where both delimiters start at the same place the longer is read, and
     equal delimiters alternate between opening and closing. The stripped
     echo is aligned against the original and each span is kept only where
-    it covers its mention verbatim; otherwise it is relocated by exact
-    substring search or dropped with a warning. Never raises on model
-    output, only on misuse (delimiters that are not two non-empty strings,
-    or delimiters with a multi-label schema).
+    the original holds its mention verbatim at the span's mapped start;
+    otherwise it is relocated by exact substring search or dropped with a
+    warning. Never raises on model output, only on misuse (delimiters that
+    are not two non-empty strings, or delimiters with a multi-label schema).
     """
     if delimiters is not None:
         delimiters = check_delimiters(delimiters)
@@ -402,17 +390,17 @@ def parse_inline(
             )
     warnings: list[str] = []
     stripped, spans = _scan_tags(completion, schema.labels, delimiters, warnings)
-    mapped = _map_spans(align_texts(stripped, original), spans)
+    starts = _map_starts(align_texts(stripped, original), [start for start, _, _ in spans])
     annotations: set[Annotation] = set()
-    for (start, end, label), (mapped_start, mapped_end) in zip(spans, mapped):
+    for (start, end, label), at in zip(spans, starts):
         mention = stripped[start:end]
         if not mention:
             warnings.append(f"empty {label!r} tag pair dropped")
             continue
-        if original[mapped_start:mapped_end] == mention:
-            annotations.add(Annotation(mapped_start, mapped_end, label))
+        if original.startswith(mention, at):
+            annotations.add(Annotation(at, at + len(mention), label))
             continue
-        best = _nearest_occurrence(original, mention, mapped_start)
+        best = _nearest_occurrence(original, mention, at)
         if best != -1:
             annotations.add(Annotation(best, best + len(mention), label))
             warnings.append(f"mention {mention!r} relocated by exact search")

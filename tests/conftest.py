@@ -1,5 +1,5 @@
 """Shared fixtures: golden documents, schemas, an in-process runner of the
-``chatner`` command and a local scripted HTTP server."""
+``chatner`` command, a local scripted HTTP server, and a growth-rate check."""
 
 from __future__ import annotations
 
@@ -30,6 +30,28 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance verdicts")
         for line in verdicts:
             terminalreporter.write_line(line)
+
+
+def assert_time_grows_linearly(run, make, n: int, family: str) -> None:
+    """Four times the input takes less than eight times as long: linear work
+    reads 4, quadratic work 16. ``make(n)`` builds an input of size ``n``
+    and ``run`` reads it. Each size is timed as the least of three runs in
+    process time, at an ``n`` whose run takes at least 50 ms, doubled until
+    it does."""
+
+    def least_time(n):
+        data = make(n)
+        times = []
+        for _ in range(3):
+            started = time.process_time()
+            run(data)
+            times.append(time.process_time() - started)
+        return min(times)
+
+    while (small := least_time(n)) < 0.05:
+        n *= 2
+    large = least_time(4 * n)
+    assert large < 8 * small, f"{family}: {small:.3f} s at {n}, {large:.3f} s at {4 * n}"
 
 
 @dataclass

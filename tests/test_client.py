@@ -28,6 +28,7 @@ from chatner.client import (
     BackendConfig,
     HttpBackend,
     MockBackend,
+    _DeadlineReader,
     _read_body,
     _read_head,
     backoff_delay_ms,
@@ -48,6 +49,7 @@ from chatner.errors import (
     RetriesExhaustedError,
     ServerError,
 )
+from conftest import assert_time_grows_linearly
 
 CONVO = (ChatMessage("system", "sys"), ChatMessage("user", "hi"))
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -507,12 +509,13 @@ class TestHttpExchange:
             HEAD + b"Transfer-Encoding: chunked\r\n\r\nzz\r\n",
             HEAD + b"Transfer-Encoding: chunked\r\n\r\n5\r\n{}",
             HEAD + b"Transfer-Encoding: chunked\r\n\r\n1\r\n{}\r\n0\r\n\r\n",
+            HEAD + b"Transfer-Encoding: chunked\r\n\r\n-5\r\n{}\r\n0\r\n\r\n",
             HEAD,
             HEAD + b"Content-Length: 3\r\n" + LENGTH + b"\r\n" + json.dumps(OK_BODY).encode(),
         ],
         ids=["line-too-long", "too-many-headers", "garbage-status", "short-status",
              "non-numeric-length", "negative-length", "bad-chunk-size", "chunk-cut-short",
-             "chunk-past-its-size",
+             "chunk-past-its-size", "negative-chunk-size",
              "no-end-of-headers", "conflicting-lengths"],
     )
     def test_broken_framing_is_a_connection_error(self, http_server, raw):
@@ -575,14 +578,15 @@ class _ReplyBytes:
 
 def _te_framing_differs(headers) -> bool:
     """Whether Transfer-Encoding makes chatner and http.client frame the
-    body differently. chatner reads it chunked where chunked is the final
-    coding of the last header, stripped, and until close under any other
-    coding. http.client reads it chunked only where the first header,
-    trailing blanks kept, is exactly "chunked", and else by Content-Length."""
-    codings = [value for name, _, value in headers if name.lower() == "transfer-encoding"]
-    ours = codings[-1].strip() if codings else ""
-    theirs = codings[0].lstrip(" \t") if codings else ""
-    chunked = ours.rpartition(",")[2].strip().lower() == "chunked"
+    body differently. chatner joins the headers into one list of codings,
+    empty elements left out, reads the body chunked where chunked is the
+    last coding, and until close under any other. http.client reads it
+    chunked only where the first header, trailing blanks kept, is exactly
+    "chunked", and else by Content-Length."""
+    values = [value for name, _, value in headers if name.lower() == "transfer-encoding"]
+    ours = [coding.strip() for coding in ",".join(values).split(",") if coding.strip()]
+    theirs = values[0].lstrip(" \t") if values else ""
+    chunked = bool(ours) and ours[-1].lower() == "chunked"
     if chunked != (theirs.lower() == "chunked"):
         return True
     return bool(ours) and not chunked and any(
@@ -609,11 +613,12 @@ KNOWN_DIVERGENCES = {
     # recipient reject the field or strip the blanks; chatner strips them,
     # http.client's parser ends the headers at that line.
     "blank-before-colon": lambda reply: any(gap for _, gap, _ in reply["headers"]),
-    # Chunked framing only where chunked is the final coding of the last
-    # Transfer-Encoding header, and else the body runs until the connection
-    # closes, whatever Content-Length says (RFC 9112 section 6.3); http.client
-    # reads a chunked body only where the first header is exactly
-    # "chunked", and otherwise honours Content-Length.
+    # Chunked framing only where chunked is the last coding listed across
+    # the Transfer-Encoding headers, and else the body runs until the
+    # connection closes, whatever Content-Length says (RFC 9112 section 6.3,
+    # RFC 9110 sections 5.3 and 5.6.1); http.client reads a chunked body
+    # only where the first header is exactly "chunked", and otherwise
+    # honours Content-Length.
     "transfer-encoding": lambda reply: _te_framing_differs(reply["headers"]),
 }
 
@@ -646,7 +651,7 @@ def http_replies(draw):
     lengths = [str(len(framed))] * 4 + [str(len(framed) + 3), str(max(len(framed) - 1, 0)),
                                          "0", "00" + str(len(framed)), "-1", "+4", "", "1x"]
     codings = ["chunked", "Chunked", "identity", "gzip, chunked", "chunked, gzip",
-               "chunked,identity", "gzip"]
+               "chunked,identity", "gzip", "", "chunked, "]
     # Mostly a well-formed header that frames the body as built, then
     # headers that may repeat, contradict or misspace it.
     headers = []
@@ -704,6 +709,41 @@ class TestReplyReaderOracle:
             return
         known = [name for name, applies in KNOWN_DIVERGENCES.items() if applies(reply)]
         assert known, f"chatner read {(status, body)!r}, http.client {theirs!r}, from {raw!r}"
+
+
+def _read_reply(raw: bytes) -> tuple[int, bytes]:
+    stream = io.BytesIO(raw)
+    _, status, headers = _read_head(stream)
+    return status, _read_body(stream, headers)[0]
+
+
+class TestReplyReader:
+    def test_repeated_transfer_encoding_lines_form_one_list(self):
+        # The empty second line adds no coding, so chunked stays the last.
+        raw = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTransfer-Encoding:\r\n\r\n"
+               b"2\r\nhi\r\n0\r\n\r\n")
+        assert _read_reply(raw) == (200, b"hi")
+        response = http.client.HTTPResponse(_ReplyBytes(raw), method="POST")
+        response.begin()
+        assert response.read() == b"hi"
+
+    def test_read_after_the_deadline_times_out(self):
+        left, right = socket.socketpair()
+        with left, right:
+            right.sendall(b"HTTP/1.1 200 OK\r\n")
+            reader = _DeadlineReader(left, time.monotonic() - 1, None)
+            with pytest.raises(TimeoutError, match="deadline passed"):
+                reader.readinto(bytearray(16))
+            assert reader.received == 0
+
+    def test_time_grows_linearly(self):
+        # A body of n one-byte chunks: one size line and one chunk end each.
+        def reply(n):
+            return b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + (
+                b"1\r\na\r\n" * n + b"0\r\n\r\n"
+            )
+
+        assert_time_grows_linearly(_read_reply, reply, 80_000, "one-byte chunks")
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import bisect
 import itertools
 import json
 import math
+import random
 import time
 from collections.abc import Iterable
 from pathlib import Path
@@ -29,8 +30,19 @@ from chatner.evaluation import (
     match_annotations,
     read_conll,
 )
+from conftest import assert_time_grows_linearly
 
 DATA = Path(__file__).parent / "data"
+
+
+def _conll_lines(n):
+    """n token lines with mixed IOB tags, a blank line after every 20."""
+    rng = random.Random(n)
+    tags = ["O", "O", "O", "B-PER", "I-PER", "B-LOC", "I-LOC"]
+    return "".join(
+        f"{rng.choice('abcdefghij')} {rng.choice(tags)}\n" + ("\n" if k % 20 == 19 else "")
+        for k in range(n)
+    )
 
 
 class TestReadConll:
@@ -137,6 +149,10 @@ class TestReadConll:
         for a, b in zip(iob1, iob2):
             assert a.text == b.text
             assert a.annotations == b.annotations
+
+    def test_time_grows_linearly(self):
+        # 80,000 lines took about 80 ms on a 2-vCPU machine.
+        assert_time_grows_linearly(read_conll, _conll_lines, 80_000, "CoNLL lines")
 
 
 class TestMatching:

@@ -24,6 +24,7 @@ from chatner import (
 from chatner import parsing
 from chatner.parsing import align_texts, extract_json_block, parse_json_answer
 from chatner.prompting import render_inline, render_json
+from conftest import assert_time_grows_linearly
 
 
 @pytest.fixture
@@ -139,37 +140,23 @@ def drifted_echoes(draw):
     return stripped, " ".join(words)
 
 
-def _map_starts(segments, offsets):
-    """Each offset mapped as the start of a span, in one ``_map_spans`` call."""
-    return [start for start, _ in parsing._map_spans(segments, [(o, o, "x") for o in offsets])]
-
-
-def _map_ends(segments, offsets):
-    """Each offset mapped as the end of a span from 0, in one call; the
-    map is monotone, so the end is never raised to the start."""
-    return [end for _, end in parsing._map_spans(segments, [(0, o, "x") for o in offsets])]
-
-
 class TestAlignTexts:
     def test_identity(self):
         segments = align_texts("abc def", "abc def")
         assert segments == ((0, 7, 0, 7),)
-        assert _map_starts(segments, [0]) == [0]
-        assert _map_ends(segments, [7]) == [7]
-        assert parsing._map_spans(segments, [(0, 7, "x")]) == [(0, 7)]
+        assert parsing._map_starts(segments, [0]) == [0]
 
     def test_single_token_replacement_maps_in_place(self):
         segments = align_texts("abc deX", "abc def")
-        assert _map_starts(segments, range(8)) == list(range(8))
-        assert parsing._map_spans(segments, [(4, 7, "x")]) == [(4, 7)]
+        assert parsing._map_starts(segments, range(8)) == list(range(8))
 
     def test_empty_stripped_gives_empty_map(self):
         assert align_texts("", "abc") == ()
-        assert parsing._map_spans((), [(0, 0, "x"), (2, 5, "x")]) == [(0, 0), (0, 0)]
+        assert parsing._map_starts((), [0, 2]) == [0, 0]
 
     def test_disjoint_texts_map_proportionally(self):
         segments = align_texts("xyz", "abcdef")
-        assert _map_starts(segments, range(4)) == [0, 2, 4, 6]
+        assert parsing._map_starts(segments, range(4)) == [0, 2, 4, 6]
 
     @given(st.text(max_size=60), st.text(max_size=60), st.data())
     @settings(max_examples=150, deadline=None)
@@ -179,7 +166,7 @@ class TestAlignTexts:
             return
         a = data.draw(st.integers(0, len(stripped) - 2))
         b = data.draw(st.integers(a + 1, len(stripped) - 1))
-        mapped_a, mapped_b = _map_starts(segments, [a, b])
+        mapped_a, mapped_b = parsing._map_starts(segments, [a, b])
         assert mapped_a <= mapped_b
 
     @given(st.text(max_size=60))
@@ -187,7 +174,7 @@ class TestAlignTexts:
     def test_identity_inputs_map_every_offset_identically(self, text):
         segments = align_texts(text, text)
         offsets = range(len(text) + 1)
-        assert _map_starts(segments, offsets) == list(offsets)
+        assert parsing._map_starts(segments, offsets) == list(offsets)
 
     @given(drifted_echoes())
     @settings(max_examples=400, deadline=None)
@@ -203,11 +190,8 @@ class TestAlignTexts:
         segments = align_texts(stripped, original)
         reference = _per_token_segments(stripped, original)
         offsets = range(len(stripped) + 1)
-        assert _map_starts(segments, offsets) == [
+        assert parsing._map_starts(segments, offsets) == [
             _reference_map_offset(reference, offset, False) for offset in offsets
-        ]
-        assert _map_ends(segments, offsets) == [
-            _reference_map_offset(reference, offset, True) for offset in offsets
         ]
 
     @given(st.one_of(st.tuples(st.text(max_size=60), st.text(max_size=60)), drifted_echoes()))
@@ -215,7 +199,7 @@ class TestAlignTexts:
     @example(("", "abc"))
     @example(("a b", ""))
     def test_segments_tile_the_stripped_text_in_order(self, texts):
-        # What _map_spans' forward walk relies on.
+        # What _map_starts' forward walk relies on.
         stripped, original = texts
         segments = align_texts(stripped, original)
         if not stripped:
@@ -247,12 +231,80 @@ class TestMapSpans:
     def test_spans_in_any_order_map_like_one_offset_at_a_time(self, case):
         stripped, original, spans = case
         reference = _per_token_segments(stripped, original)
-        expected = []
-        for start, end, _ in spans:
-            mapped_start = _reference_map_offset(reference, start, False)
-            mapped_end = _reference_map_offset(reference, end, True)
-            expected.append((mapped_start, max(mapped_start, mapped_end)))
-        assert parsing._map_spans(align_texts(stripped, original), spans) == expected
+        starts = [start for start, _, _ in spans]
+        assert parsing._map_starts(align_texts(stripped, original), starts) == [
+            _reference_map_offset(reference, start, False) for start in starts
+        ]
+
+
+@st.composite
+def tagged_echoes(draw):
+    """A drifted echo with tags for two labels at drawn offsets, nested,
+    crossing and stray ones included, and its original."""
+    stripped, original, spans = draw(echoes_with_spans())
+    tags = []
+    for start, end, _ in spans:
+        label = draw(st.sampled_from("xy"))
+        tags += [(start, f"<{label}>"), (end, f"</{label}>")]
+    # A stable sort keeps the drawn order of the tags at one offset.
+    tags = sorted(draw(st.permutations(tags)), key=lambda tag: tag[0])
+    cuts = [0, *(offset for offset, _ in tags), len(stripped)]
+    texts = [stripped[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    return "".join(text + tag for text, (_, tag) in zip(texts, tags)) + texts[-1], original
+
+
+def _two_ended_parse(completion, original, labels):
+    """The previous in-line rule, the reference: both ends of a span map
+    through per-token segments, and a span is kept where the original
+    between them equals its mention. Returns the annotations, the warnings
+    and the indices of the relocation warnings whose span starts at its
+    mapped start."""
+    warnings = []
+    stripped, spans = parsing._scan_tags(completion, labels, None, warnings)
+    reference = _per_token_segments(stripped, original)
+    annotations, in_place = set(), []
+    for start, end, label in spans:
+        mention = stripped[start:end]
+        if not mention:
+            warnings.append(f"empty {label!r} tag pair dropped")
+            continue
+        mapped_start = _reference_map_offset(reference, start, False)
+        mapped_end = max(mapped_start, _reference_map_offset(reference, end, True))
+        if original[mapped_start:mapped_end] == mention:
+            annotations.add(Annotation(mapped_start, mapped_end, label))
+            continue
+        best = parsing._nearest_occurrence(original, mention, mapped_start)
+        if best == -1:
+            warnings.append(f"mention {mention!r} not found in the original text; dropped")
+            continue
+        annotations.add(Annotation(best, best + len(mention), label))
+        if best == mapped_start:
+            in_place.append(len(warnings))
+        warnings.append(f"mention {mention!r} relocated by exact search")
+    return annotations, warnings, in_place
+
+
+class TestCheckInPlace:
+    """A mention is kept where the original holds it at its mapped start,
+    which no mapped end can change."""
+
+    SCHEMA = EntitySchema({"x": "Xs.", "y": "Ys."})
+
+    @given(tagged_echoes())
+    @settings(max_examples=400, deadline=None)
+    # The start maps in place and the end does not, so the old rule warned.
+    @example((" <x>aaaaa a</x>b a", "aaaaa aab a"))
+    def test_annotations_match_the_two_ended_rule(self, case):
+        completion, original = case
+        doc, report = parse_inline(completion, original, self.SCHEMA)
+        annotations, warnings, in_place = _two_ended_parse(
+            completion, original, self.SCHEMA.labels
+        )
+        assert doc.annotations == annotations
+        # The only change: no warning for a mention "relocated" to where its
+        # start already mapped.
+        kept = [warning for k, warning in enumerate(warnings) if k not in in_place]
+        assert list(report.warnings) == kept
 
 
 def _regex_split_tokens(text):
@@ -789,6 +841,45 @@ ADVERSARIAL_ECHOES = {
 }
 
 
+def _nested_tags(n):
+    """n one-character tokens, each opening a tag pair, all closed at the end."""
+    return " ".join("<x>" + token for token in random.Random(n).choices("abcdefghij", k=n)) + (
+        "</x>" * n
+    )
+
+
+def _nested_starts_over_an_identical_echo(n):
+    # The starts _scan_tags gives for _nested_tags(n): every token's, the
+    # last first, as the pairs close.
+    return " ".join(random.Random(n).choices("abcdefghij", k=n)), list(range(2 * n - 2, -1, -2))
+
+
+def _whitespace_runs(n):
+    # The same n tokens on both sides, each followed by one to three spaces
+    # drawn per side, so most pairs are runs of their own with a gap to refine.
+    rng = random.Random(n)
+    tokens = rng.choices("abcdefghij", k=n)
+    return tuple("".join(map(str.__add__, tokens, rng.choices([" ", "  ", "   "], k=n)))
+                 for _ in "so")
+
+
+# Per input family: a size whose run took 60-100 ms on a 2-vCPU machine, the
+# input maker and the run. Stray closing tags are left out: their ratio read
+# 4.4-7.6, too near the bound to tell linear from quadratic. Drifted echoes
+# are left out too: their alignment crosses _DIFF_BUDGET between n and 4n.
+INLINE_GROWTH_FAMILIES = {
+    "tags nested to full depth": (
+        80_000, _nested_tags, lambda completion: parsing._scan_tags(completion, ("x",), None, [])
+    ),
+    "starts of nested tags over an identical echo": (
+        400_000,
+        _nested_starts_over_an_identical_echo,
+        lambda case: parsing._map_starts(align_texts(case[0], case[0]), case[1]),
+    ),
+    "whitespace runs": (40_000, _whitespace_runs, lambda texts: align_texts(*texts)),
+}
+
+
 class TestAdversarialSizes:
     """Loose time bounds that a super-linear parsing path would blow.
 
@@ -828,7 +919,8 @@ class TestAdversarialSizes:
         # pairs come out of the stack with their starts in reverse order.
         # The scan, the alignment and the mapping took 0.42, 0.00 and 0.41 s
         # on a 2-vCPU machine. parse_inline is left unbounded: the mentions
-        # it slices and compares add up to depth times text.
+        # it slices add up to depth times text, though none is compared
+        # against a slice of the original.
         n = 200_000
         rng = random.Random(13)
         tokens = [rng.choice("abcdefghij") for _ in range(n)]
@@ -838,13 +930,19 @@ class TestAdversarialSizes:
         def scan_align_map():
             warnings: list[str] = []
             stripped, spans = parsing._scan_tags(completion, ("x",), None, warnings)
-            return spans, warnings, parsing._map_spans(align_texts(stripped, original), spans)
+            starts = [start for start, _, _ in spans]
+            return spans, warnings, parsing._map_starts(align_texts(stripped, original), starts)
 
         spans, warnings, mapped = self._timed("pairs nested to full depth", scan_align_map)
         assert warnings == []
         assert spans[0] == (len(original) - 1, len(original), "x")
         assert spans[-1] == (0, len(original), "x")
-        assert mapped == [(start, end) for start, end, _ in spans]
+        assert mapped == [start for start, _, _ in spans]
+
+    @pytest.mark.parametrize("family", sorted(INLINE_GROWTH_FAMILIES))
+    def test_time_grows_linearly(self, family):
+        n, make, run = INLINE_GROWTH_FAMILIES[family]
+        assert_time_grows_linearly(run, make, n, family)
 
     def test_decoy_blocks_within_bounds(self):
         # Every block leaves an unclosed brace before it, so each scan for a
@@ -1059,25 +1157,8 @@ class TestExtractJsonBlock:
 
     @pytest.mark.parametrize("family", sorted(GROWTH_FAMILIES))
     def test_time_grows_linearly(self, family):
-        """Four times the input takes less than eight times as long; a
-        quadratic scan would take sixteen. Each size is timed as the least
-        of three runs in process time, at a size whose run takes at least
-        50 ms, doubled until it does."""
         n, make = GROWTH_FAMILIES[family]
-
-        def least_time(n):
-            text = make(n)
-            times = []
-            for _ in range(3):
-                started = time.process_time()
-                extract_json_block(text)
-                times.append(time.process_time() - started)
-            return min(times)
-
-        while (small := least_time(n)) < 0.05:
-            n *= 2
-        large = least_time(4 * n)
-        assert large < 8 * small, f"{family}: {small:.3f} s at {n}, {large:.3f} s at {4 * n}"
+        assert_time_grows_linearly(extract_json_block, make, n, family)
 
 
 class TestParseJsonAnswer:

@@ -62,13 +62,13 @@ def check_spans(doc: AnnotatedDocument) -> None:
     """Raise ValueError for the first annotation that does not fit ``doc.text``.
 
     Annotations are checked in sorted order. When one breaks several rules,
-    the first of these is the reason given: offsets that are not integers,
-    a negative start, an empty or inverted span, a span past the end of the
-    text, an empty label.
+    the first of these is the reason given: offsets that are not integers
+    (a bool is not one), a negative start, an empty or inverted span, a
+    span past the end of the text, an empty label.
     """
     length = len(doc.text)
     for ann in doc.sorted_annotations():
-        if not isinstance(ann.start, int) or not isinstance(ann.end, int):
+        if type(ann.start) is not int or type(ann.end) is not int:
             reason = "offsets must be integers"
         elif ann.start < 0:
             reason = "negative start"

@@ -108,11 +108,13 @@ def match_annotations(
     Strict matching pairs identical annotations. Relaxed matching pairs
     spans of one label that share a character: predictions are taken in
     (end, start) order, and each takes the unpaired overlapping gold span
-    of its label that ends first. As both sides are intervals, this greedy
-    pairing has maximum cardinality (the exchange argument of Glover's
-    convex bipartite matching). Empty and inverted spans overlap nothing.
-    The pairing is deterministic and its pairs follow the predictions in
-    (start, end, label) order.
+    of its label that ends first. One sweep over the spans' sorted events
+    does this: a gold span joins its label's sorted list at its start, and
+    a prediction takes from that list at its end. As both sides are
+    intervals, this greedy pairing has maximum cardinality (the exchange
+    argument of Glover's convex bipartite matching). Empty and inverted
+    spans overlap nothing. The pairing is deterministic and its pairs
+    follow the predictions in (start, end, label) order.
     """
     if matching not in MATCHING_MODES:
         raise EvaluationError(
@@ -128,30 +130,22 @@ def match_annotations(
         for p, ann in enumerate(pred):
             if free.get(ann):
                 partner[p] = free[ann].pop()
-    elif pred and gold_list:
-        # Per label, (start, end, index) of the non-empty gold spans not yet
-        # begun, latest start first.
-        unbegun: dict[str, list[tuple[int, int, int]]] = {}
-        for g in reversed(range(len(gold_list))):
-            start, end, label = gold_list[g]
-            if start < end:
-                unbegun.setdefault(label, []).append((start, end, g))
+    else:
+        # On a tie a prediction goes first: touching spans share no character.
+        events = [(s, 1, e, g, label) for g, (s, e, label) in enumerate(gold_list) if s < e]
+        events += [(e, 0, s, p, label) for p, (s, e, label) in enumerate(pred) if s < e]
+        events.sort()
         # Per label, (end, start, index) of the gold spans that start before
         # the current prediction ends and are still unpaired.
         begun: dict[str, list[tuple[int, int, int]]] = {}
-        for end, start, p, label in sorted(
-            [(end, start, p, label) for p, (start, end, label) in enumerate(pred)]
-        ):
-            waiting = unbegun.get(label)
-            if start >= end or waiting is None:
-                continue
-            spans = begun.setdefault(label, [])
-            while waiting and waiting[-1][0] < end:
-                g_start, g_end, g = waiting.pop()
-                bisect.insort(spans, (g_end, g_start, g))
-            first = bisect.bisect_right(spans, (start, math.inf))
-            if first < len(spans):
-                partner[p] = spans.pop(first)[2]
+        for at, is_gold, other, i, label in events:
+            if is_gold:
+                bisect.insort(begun.setdefault(label, []), (other, at, i))
+            else:
+                spans = begun.get(label, ())
+                first = bisect.bisect_right(spans, (other, math.inf))
+                if first < len(spans):
+                    partner[i] = spans.pop(first)[2]
     paired_gold = set(partner)
     return Matching(
         pairs=tuple([(a, gold_list[g]) for a, g in zip(pred, partner) if g >= 0]),

@@ -187,7 +187,8 @@ def render_examples(
             )
         if not example.text:
             raise ConfigError(f"example {position} has empty text")
-        unknown = sorted({ann.label for ann in example.annotations} - set(schema.labels))
+        # Sorted by repr, as a label from a caller need not be a string.
+        unknown = sorted({ann.label for ann in example.annotations} - set(schema.labels), key=repr)
         if unknown:
             raise ConfigError(f"example {position} uses labels outside the schema: {unknown}")
         for user, label in plan_turns(example.text, schema, config, templates):

@@ -122,6 +122,9 @@ class TestValidateDocument:
             (Annotation(2, 2, ""), "empty span"),
             (Annotation(1, 0, ""), "inverted span"),
             (Annotation(0, 9, ""), "span extends past the end of the text"),
+            # A bool is no integer offset, though True == 1.
+            (Annotation(True, 2, ""), "offsets must be integers"),
+            (Annotation(0, True, ""), "offsets must be integers"),
         ],
     )
     def test_first_reason_wins(self, annotation, reason):

@@ -202,6 +202,23 @@ class TestContextualize:
                         SCHEMA, examples=[broken]
                     )
 
+    def test_example_with_a_bool_offset_rejected(self):
+        # True == 1, but an offset of True is no integer: it is refused as
+        # document_from_record refuses it, not rendered as offset 1.
+        flagged = AnnotatedDocument("ab", [Annotation(True, 2, "person")])
+        for method in ("single_turn", "multi_turn"):
+            for shape in ("inline", "json"):
+                with pytest.raises(ConfigError, match="example 0 .*offsets must be integers"):
+                    FewShotNer(method=method, answer_shape=shape).contextualize(
+                        SCHEMA, examples=[flagged]
+                    )
+
+    def test_example_with_unknown_labels_of_mixed_types_rejected(self):
+        mixed = AnnotatedDocument("ab", [Annotation(0, 1, 5), Annotation(1, 2, "city")])
+        expected = r"^example 0 uses labels outside the schema: \['city', 5\]$"
+        with pytest.raises(ConfigError, match=expected):
+            FewShotNer().contextualize(SCHEMA, examples=[mixed])
+
     def test_delimiters_with_single_turn_rejected(self):
         with pytest.raises(ConfigError, match="custom delimiters require multi-turn"):
             NerModel(delimiters=("@@", "##")).contextualize(SCHEMA)

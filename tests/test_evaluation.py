@@ -354,6 +354,22 @@ class TestAdversarialSizes:
         result = self._timed("nested gold spans", predicted, gold)
         assert len(result.pairs) == n
 
+    # The next two cases are still quadratic, as each insertion into and
+    # removal from a label's sorted list moves O(n) entries; the bound pins
+    # them where they are.
+    def test_nested_gold_matched_against_itself(self):
+        n = 20_000
+        nested = [Annotation(i, 2 * n - i, "L") for i in range(n)]
+        result = self._timed("nested gold against itself", nested, nested)
+        assert len(result.pairs) == n
+
+    def test_nested_predictions_over_unit_gold(self):
+        n = 20_000
+        predicted = [Annotation(i, 2 * n - i, "L") for i in range(n)]
+        gold = [Annotation(j, j + 1, "L") for j in range(2 * n)]
+        result = self._timed("nested predictions", predicted, gold)
+        assert len(result.pairs) == n
+
 
 class TestClassMetrics:
     def test_formulas(self):

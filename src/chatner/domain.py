@@ -61,13 +61,15 @@ class AnnotatedDocument:
 def check_spans(doc: AnnotatedDocument) -> None:
     """Raise ValueError for the first annotation that does not fit ``doc.text``.
 
-    Annotations are checked in sorted order. When one breaks several rules,
-    the first of these is the reason given: offsets that are not integers
-    (a bool is not one), a negative start, an empty or inverted span, a
-    span past the end of the text, an empty label.
+    Annotations are checked in sorted order, with labels compared as text,
+    so a label of another type is never compared with a string. When one
+    breaks several rules, the first of these is the reason given: offsets
+    that are not integers (a bool is not one), a negative start, an empty or
+    inverted span, a span past the end of the text, a label that is not a
+    string, an empty label.
     """
     length = len(doc.text)
-    for ann in doc.sorted_annotations():
+    for ann in sorted(doc.annotations, key=lambda ann: (ann.start, ann.end, str(ann.label))):
         if type(ann.start) is not int or type(ann.end) is not int:
             reason = "offsets must be integers"
         elif ann.start < 0:
@@ -78,6 +80,8 @@ def check_spans(doc: AnnotatedDocument) -> None:
             reason = "inverted span"
         elif ann.end > length:
             reason = "span extends past the end of the text"
+        elif not isinstance(ann.label, str):
+            reason = "label is not a string"
         elif not ann.label:
             reason = "empty label"
         else:

@@ -11,9 +11,10 @@ Alignment pairs tokens by a longest common subsequence: the common prefix
 and suffix are paired directly, tokens missing from the other side are
 dropped, and Myers' O(ND) difference algorithm pairs the rest within a
 fixed work budget. A run of pairs with equal whitespace between them maps
-as one piece; only bounded gaps between runs are refined character by
-character, so alignment, like JSON block extraction, takes near-linear time
-and recurses nowhere. Tokens come from ``str.split()``, which is all the
+as one piece. Only a bounded gap between runs that holds a span start is
+refined character by character; every other gap maps proportionally, as no
+start reads it. So alignment, like JSON block extraction, takes near-linear
+time and recurses nowhere. Tokens come from ``str.split()``, which is all the
 work for a text with single spaces between its tokens; other texts, and
 tags, take one ``re.split`` each. No Python loop builds a string, an offset
 or an alignment piece per token, and no offset is stored per token. Tags
@@ -163,20 +164,20 @@ def _matching_blocks(a: str, b: str) -> list[tuple[int, int, int]]:
 
 
 def _gap_segments(
-    stripped: str, original: str, s_lo: int, s_hi: int, o_lo: int, o_hi: int
+    stripped: str, original: str, s_lo: int, s_hi: int, o_lo: int, o_hi: int, starts: Sequence[int]
 ) -> list[_Segment]:
-    """Segments covering an unmatched region between two runs of paired tokens."""
-    gap_s = stripped[s_lo:s_hi]
-    gap_o = original[o_lo:o_hi]
-    if not gap_s:
+    """Segments covering an unmatched region between two runs of paired
+    tokens; only a gap that holds one of the sorted ``starts`` is refined."""
+    if s_lo == s_hi:
         return []
-    if max(len(gap_s), len(gap_o)) > _REFINE_LIMIT:
+    at = bisect_left(starts, s_lo)
+    if at == len(starts) or starts[at] >= s_hi or max(s_hi - s_lo, o_hi - o_lo) > _REFINE_LIMIT:
         return [(s_lo, s_hi, o_lo, o_hi)]
     # Character-level refinement inside the gap: equal blocks map exactly,
     # the fuzz in between maps proportionally.
     segments: list[_Segment] = []
     prev_a = prev_b = 0
-    for a, b, size in _matching_blocks(gap_s, gap_o):
+    for a, b, size in _matching_blocks(stripped[s_lo:s_hi], original[o_lo:o_hi]):
         if a > prev_a:
             segments.append((s_lo + prev_a, s_lo + a, o_lo + prev_b, o_lo + b))
         if size:
@@ -214,7 +215,7 @@ def _token_starts(words: list[str], spaces: list[str], first: int) -> Callable[[
     return token_start
 
 
-def align_texts(stripped: str, original: str) -> tuple[_Segment, ...]:
+def align_texts(stripped: str, original: str, starts: Sequence[int]) -> tuple[_Segment, ...]:
     """Align a tag-stripped completion against the original text.
 
     Tokens (maximal runs of non-whitespace) are paired by a longest common
@@ -222,8 +223,11 @@ def align_texts(stripped: str, original: str) -> tuple[_Segment, ...]:
     the tokens both sides share, within a fixed work budget past which the
     middle stays unpaired. Consecutive pairs with equal whitespace between
     them form a run whose text is equal on both sides, and each run maps as
-    one piece. The gaps between runs are refined to character offsets with
-    difflib up to a fixed length; longer gaps map proportionally.
+    one piece. A gap between runs that holds one of ``starts``, the stripped
+    offsets to be mapped in ascending order, is refined to character offsets
+    with difflib up to a fixed length. Every other gap maps proportionally
+    as one piece: a start maps through the last segment at or before it, so
+    no start is moved by a gap it does not lie in.
 
     Returns segments that tile the stripped text left to right, none of them
     empty on the stripped side; ``_map_starts`` maps offsets through them.
@@ -242,11 +246,13 @@ def align_texts(stripped: str, original: str) -> tuple[_Segment, ...]:
         differ = map(ne, spaces_s[i : i + size - 1], spaces_o[j : j + size - 1])
         for first, stop in pairwise(chain((0,), compress(range(1, size), differ), (size,))):
             lo_s, lo_o = start_s(i + first), start_o(j + first)
-            pieces += _gap_segments(stripped, original, prev_s, lo_s, prev_o, lo_o)
+            pieces += _gap_segments(stripped, original, prev_s, lo_s, prev_o, lo_o, starts)
             prev_s = start_s(i + stop - 1) + len(words_s[i + stop - 1])
             prev_o = start_o(j + stop - 1) + len(words_o[j + stop - 1])
             pieces.append((lo_s, prev_s, lo_o, prev_o))
-    pieces += _gap_segments(stripped, original, prev_s, len(stripped), prev_o, len(original))
+    pieces += _gap_segments(
+        stripped, original, prev_s, len(stripped), prev_o, len(original), starts
+    )
     return tuple(pieces)
 
 
@@ -390,9 +396,10 @@ def parse_inline(
             )
     warnings: list[str] = []
     stripped, spans = _scan_tags(completion, schema.labels, delimiters, warnings)
-    starts = _map_starts(align_texts(stripped, original), [start for start, _, _ in spans])
+    starts = [start for start, _, _ in spans]
+    mapped = _map_starts(align_texts(stripped, original, sorted(starts)), starts)
     annotations: set[Annotation] = set()
-    for (start, end, label), at in zip(spans, starts):
+    for (start, end, label), at in zip(spans, mapped):
         mention = stripped[start:end]
         if not mention:
             warnings.append(f"empty {label!r} tag pair dropped")

@@ -114,6 +114,14 @@ class TestValidateDocument:
         with pytest.raises(ValueError, match="empty label$"):
             fits("abc", Annotation(0, 1, ""))
 
+    def test_label_that_is_not_a_string_reported(self):
+        message = r"^annotation \(0, 1, 5\) does not fit the text: label is not a string$"
+        with pytest.raises(ValueError, match=message):
+            fits("ab", Annotation(0, 1, 5))
+        # Labels of mixed types sort without being compared with each other.
+        with pytest.raises(ValueError, match=message):
+            fits("ab", Annotation(0, 1, 5), Annotation(0, 1, "x"))
+
     @pytest.mark.parametrize(
         "annotation, reason",
         [
@@ -125,6 +133,9 @@ class TestValidateDocument:
             # A bool is no integer offset, though True == 1.
             (Annotation(True, 2, ""), "offsets must be integers"),
             (Annotation(0, True, ""), "offsets must be integers"),
+            (Annotation(0, 9, 5), "span extends past the end of the text"),
+            # A label must be a non-empty string, as in a document record.
+            (Annotation(0, 1, 0), "label is not a string"),
         ],
     )
     def test_first_reason_wins(self, annotation, reason):

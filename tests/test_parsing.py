@@ -111,9 +111,10 @@ def drifted_echoes(draw):
     """An original text and an echo of it with typos, dropped and inserted
     words, and changed spacing.
 
-    Originals stay under 270 characters, so most unpaired gaps are refined by
-    difflib, and a deleted character between two of its matching blocks
-    leaves a hole in the original.
+    Originals stay under 270 characters, so nearly every unpaired gap that
+    holds an offset to be mapped is refined by difflib, and a deleted
+    character between two of its matching blocks leaves a hole in the
+    original.
     """
     words = draw(
         st.lists(st.text(alphabet="abcd", min_size=1, max_size=8), min_size=1, max_size=30)
@@ -142,38 +143,39 @@ def drifted_echoes(draw):
 
 class TestAlignTexts:
     def test_identity(self):
-        segments = align_texts("abc def", "abc def")
+        segments = align_texts("abc def", "abc def", range(7))
         assert segments == ((0, 7, 0, 7),)
         assert parsing._map_starts(segments, [0]) == [0]
 
     def test_single_token_replacement_maps_in_place(self):
-        segments = align_texts("abc deX", "abc def")
+        segments = align_texts("abc deX", "abc def", range(8))
         assert parsing._map_starts(segments, range(8)) == list(range(8))
 
     def test_empty_stripped_gives_empty_map(self):
-        assert align_texts("", "abc") == ()
+        assert align_texts("", "abc", [0, 2]) == ()
         assert parsing._map_starts((), [0, 2]) == [0, 0]
 
     def test_disjoint_texts_map_proportionally(self):
-        segments = align_texts("xyz", "abcdef")
+        segments = align_texts("xyz", "abcdef", range(4))
         assert parsing._map_starts(segments, range(4)) == [0, 2, 4, 6]
 
     @given(st.text(max_size=60), st.text(max_size=60), st.data())
     @settings(max_examples=150, deadline=None)
     def test_monotone(self, stripped, original, data):
-        segments = align_texts(stripped, original)
         if len(stripped) < 2:
+            align_texts(stripped, original, range(len(stripped)))
             return
         a = data.draw(st.integers(0, len(stripped) - 2))
         b = data.draw(st.integers(a + 1, len(stripped) - 1))
+        segments = align_texts(stripped, original, [a, b])
         mapped_a, mapped_b = parsing._map_starts(segments, [a, b])
         assert mapped_a <= mapped_b
 
     @given(st.text(max_size=60))
     @settings(max_examples=80, deadline=None)
     def test_identity_inputs_map_every_offset_identically(self, text):
-        segments = align_texts(text, text)
         offsets = range(len(text) + 1)
+        segments = align_texts(text, text, offsets)
         assert parsing._map_starts(segments, offsets) == list(offsets)
 
     @given(drifted_echoes())
@@ -187,12 +189,50 @@ class TestAlignTexts:
     @example(("a  b c d", "a b c d"))
     def test_maps_every_offset_like_per_token_segments(self, texts):
         stripped, original = texts
-        segments = align_texts(stripped, original)
-        reference = _per_token_segments(stripped, original)
         offsets = range(len(stripped) + 1)
+        segments = align_texts(stripped, original, offsets)
+        reference = _per_token_segments(stripped, original)
         assert parsing._map_starts(segments, offsets) == [
             _reference_map_offset(reference, offset, False) for offset in offsets
         ]
+
+    @given(drifted_echoes(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_unrefined_gaps_never_reach_a_start(self, texts, data):
+        # Only gaps holding a start are refined, and a start maps through
+        # the last segment at or before it, so every start maps as if all
+        # gaps were refined.
+        stripped, original = texts
+        keep = data.draw(st.lists(st.booleans(), min_size=len(stripped), max_size=len(stripped)))
+        starts = [offset for offset, kept in enumerate(keep) if kept]
+        reference = _per_token_segments(stripped, original)
+        assert parsing._map_starts(align_texts(stripped, original, starts), starts) == [
+            _reference_map_offset(reference, start, False) for start in starts
+        ]
+
+    @pytest.mark.parametrize(
+        "starts, segments, refined",
+        [
+            ([0, 7], ((0, 2, 0, 2), (2, 7, 2, 8), (7, 9, 8, 10)), []),
+            (
+                [4],
+                ((0, 2, 0, 2), (2, 4, 2, 4), (4, 5, 4, 6), (5, 7, 6, 8), (7, 9, 8, 10)),
+                [(" bXc ", " bYYc ")],
+            ),
+        ],
+        ids=["no start in the gap", "a start in the gap"],
+    )
+    def test_only_a_gap_holding_a_start_is_refined(self, monkeypatch, starts, segments, refined):
+        # The gap " bXc " between the runs "aa" and "dd" against " bYYc ".
+        calls, matching_blocks = [], parsing._matching_blocks
+
+        def counting(a, b):
+            calls.append((a, b))
+            return matching_blocks(a, b)
+
+        monkeypatch.setattr(parsing, "_matching_blocks", counting)
+        assert align_texts("aa bXc dd", "aa bYYc dd", starts) == segments
+        assert calls == refined
 
     @given(st.one_of(st.tuples(st.text(max_size=60), st.text(max_size=60)), drifted_echoes()))
     @settings(max_examples=300, deadline=None)
@@ -201,7 +241,7 @@ class TestAlignTexts:
     def test_segments_tile_the_stripped_text_in_order(self, texts):
         # What _map_starts' forward walk relies on.
         stripped, original = texts
-        segments = align_texts(stripped, original)
+        segments = align_texts(stripped, original, range(len(stripped)))
         if not stripped:
             assert segments == ()
             return
@@ -232,7 +272,7 @@ class TestMapSpans:
         stripped, original, spans = case
         reference = _per_token_segments(stripped, original)
         starts = [start for start, _, _ in spans]
-        assert parsing._map_starts(align_texts(stripped, original), starts) == [
+        assert parsing._map_starts(align_texts(stripped, original, sorted(starts)), starts) == [
             _reference_map_offset(reference, start, False) for start in starts
         ]
 
@@ -874,9 +914,11 @@ INLINE_GROWTH_FAMILIES = {
     "starts of nested tags over an identical echo": (
         400_000,
         _nested_starts_over_an_identical_echo,
-        lambda case: parsing._map_starts(align_texts(case[0], case[0]), case[1]),
+        lambda case: parsing._map_starts(align_texts(case[0], case[0], sorted(case[1])), case[1]),
     ),
-    "whitespace runs": (40_000, _whitespace_runs, lambda texts: align_texts(*texts)),
+    "whitespace runs": (
+        40_000, _whitespace_runs, lambda texts: align_texts(*texts, range(len(texts[0])))
+    ),
 }
 
 
@@ -906,7 +948,7 @@ class TestAdversarialSizes:
     def test_align_and_parse_within_bounds(self, case):
         completion, original = ADVERSARIAL_ECHOES[case]()
         stripped = completion.replace("<x>", "").replace("</x>", "")
-        amap = self._timed(case, lambda: align_texts(stripped, original))
+        amap = self._timed(case, lambda: align_texts(stripped, original, range(len(stripped))))
         assert amap
         doc, _ = self._timed(
             case, lambda: parse_inline(completion, original, self.SCHEMA)
@@ -931,7 +973,8 @@ class TestAdversarialSizes:
             warnings: list[str] = []
             stripped, spans = parsing._scan_tags(completion, ("x",), None, warnings)
             starts = [start for start, _, _ in spans]
-            return spans, warnings, parsing._map_starts(align_texts(stripped, original), starts)
+            segments = align_texts(stripped, original, sorted(starts))
+            return spans, warnings, parsing._map_starts(segments, starts)
 
         spans, warnings, mapped = self._timed("pairs nested to full depth", scan_align_map)
         assert warnings == []
@@ -1023,7 +1066,7 @@ class TestAlignmentMemory:
         stripped = completion.replace("<x>", "").replace("</x>", "")
         tracemalloc.start()
         try:
-            amap = align_texts(stripped, original)
+            amap = align_texts(stripped, original, range(len(stripped)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1040,9 +1083,9 @@ class TestWhatTheBenchmarkReads:
     def test_parse_inline_aligns_once_through_the_module_global(self, monkeypatch):
         calls = []
 
-        def counting(stripped, original):
+        def counting(stripped, original, starts):
             calls.append((stripped, original))
-            return align_texts(stripped, original)
+            return align_texts(stripped, original, starts)
 
         monkeypatch.setattr(parsing, "align_texts", counting)
         parse_inline("<x>a</x> b c", "a b c d", self.SCHEMA)

@@ -161,6 +161,15 @@ class TestRenderInline:
         with pytest.raises(RenderError):
             render_inline(AnnotatedDocument("ab", [Annotation(0, 5, "x")]))
 
+    @pytest.mark.parametrize(
+        "annotations",
+        [[Annotation(0, 1, 5)], [Annotation(0, 1, 5), Annotation(0, 1, "x")]],
+        ids=["alone", "beside a string label"],
+    )
+    def test_label_that_is_not_a_string_rejected(self, annotations):
+        with pytest.raises(RenderError, match="label is not a string$"):
+            render_inline(AnnotatedDocument("ab", annotations))
+
     def test_tag_stripping_recovers_text(self, country_doc):
         rendered = render_inline(country_doc)
         stripped = (

@@ -61,15 +61,18 @@ class AnnotatedDocument:
 def check_spans(doc: AnnotatedDocument) -> None:
     """Raise ValueError for the first annotation that does not fit ``doc.text``.
 
-    Annotations are checked in sorted order, with labels compared as text,
-    so a label of another type is never compared with a string. When one
-    breaks several rules, the first of these is the reason given: offsets
-    that are not integers (a bool is not one), a negative start, an empty or
-    inverted span, a span past the end of the text, a label that is not a
-    string, an empty label.
+    Annotations are checked in sorted order, offsets other than numbers
+    after the numbers by their repr and labels as text, so no two values of
+    different types are compared. When one breaks several rules, the first
+    of these is the reason given: offsets that are not integers (a bool is
+    not one), a negative start, an empty or inverted span, a span past the
+    end of the text, a label that is not a string, an empty label.
     """
+    def order(offset: object) -> tuple:
+        return (0, offset) if isinstance(offset, (int, float)) else (1, repr(offset))
+
     length = len(doc.text)
-    for ann in sorted(doc.annotations, key=lambda ann: (ann.start, ann.end, str(ann.label))):
+    for ann in sorted(doc.annotations, key=lambda ann: (*map(order, ann[:2]), str(ann.label))):
         if type(ann.start) is not int or type(ann.end) is not int:
             reason = "offsets must be integers"
         elif ann.start < 0:
@@ -86,10 +89,7 @@ def check_spans(doc: AnnotatedDocument) -> None:
             reason = "empty label"
         else:
             continue
-        raise ValueError(
-            f"annotation ({ann.start}, {ann.end}, {ann.label!r}) does not fit "
-            f"the text: {reason}"
-        )
+        raise ValueError(f"annotation {tuple(ann)} does not fit the text: {reason}")
 
 
 class EntitySchema(Mapping):

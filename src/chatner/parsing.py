@@ -2,24 +2,25 @@
 
 The in-line parser never trusts the model's echo blindly: the completion
 with its tags stripped is aligned against the original text, span starts
-map through the alignment, and a mention is kept where the original holds
-it verbatim at its mapped start. Other mentions are relocated by exact
-substring search, and dropped with a warning as a last resort, so a
-recovered annotation is always a verbatim occurrence of the enclosed mention.
+are mapped as the alignment is built, and a mention is kept where the
+original holds it verbatim at its mapped start; one within a verbatim piece
+of the alignment is kept without comparing it again. Other mentions are
+relocated by exact substring search, and dropped with a warning as a last
+resort, so a recovered annotation is always a verbatim occurrence of the
+enclosed mention.
 
 Alignment pairs tokens by a longest common subsequence: the common prefix
 and suffix are paired directly, tokens missing from the other side are
 dropped, and Myers' O(ND) difference algorithm pairs the rest within a
-fixed work budget. A run of pairs with equal whitespace between them maps
-as one piece. Only a bounded gap between runs that holds a span start is
-refined character by character; every other gap maps proportionally, as no
-start reads it. So alignment, like JSON block extraction, takes near-linear
-time and recurses nowhere. Tokens come from ``str.split()``, which is all the
-work for a text with single spaces between its tokens; other texts, and
-tags, take one ``re.split`` each. No Python loop builds a string, an offset
-or an alignment piece per token, and no offset is stored per token. Tags
-are paired on a stack as they are read, in the pass that strips them, and
-all span starts of a reply map through the alignment in one forward walk.
+fixed work budget. A run of pairs with equal whitespace between them is
+one verbatim piece. Only a bounded gap between runs that holds a span
+start is refined character by character, and no other gap is read. So
+alignment, like JSON block extraction, takes near-linear time and recurses
+nowhere. Tokens come from ``str.split()``, which is all the work for a text
+with single spaces between its tokens; other texts, and tags, take one
+``re.split`` each. No Python loop builds a string, an offset or an
+alignment piece per token, and no offset is stored per token. Tags are
+paired on a stack as they are read, in the pass that strips them.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ _DIFF_BUDGET = 1_000_000
 # Longest gap, in characters on either side, refined by difflib, whose cost
 # grows with the product of the two lengths; longer gaps map proportionally.
 _REFINE_LIMIT = 256
-
-# (s_lo, s_hi, o_lo, o_hi): a stripped range and the original range it maps to.
-_Segment = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -163,27 +161,23 @@ def _matching_blocks(a: str, b: str) -> list[tuple[int, int, int]]:
     return difflib.SequenceMatcher(None, a, b, autojunk=False).get_matching_blocks()
 
 
-def _gap_segments(
-    stripped: str, original: str, s_lo: int, s_hi: int, o_lo: int, o_hi: int, starts: Sequence[int]
-) -> list[_Segment]:
-    """Segments covering an unmatched region between two runs of paired
-    tokens; only a gap that holds one of the sorted ``starts`` is refined."""
-    if s_lo == s_hi:
-        return []
-    at = bisect_left(starts, s_lo)
-    if at == len(starts) or starts[at] >= s_hi or max(s_hi - s_lo, o_hi - o_lo) > _REFINE_LIMIT:
-        return [(s_lo, s_hi, o_lo, o_hi)]
-    # Character-level refinement inside the gap: equal blocks map exactly,
-    # the fuzz in between maps proportionally.
-    segments: list[_Segment] = []
+def _gap_pieces(
+    stripped: str, original: str, s_lo: int, s_hi: int, o_lo: int, o_hi: int
+) -> list[tuple[int, int, int, int, bool]]:
+    """The pieces ``(s_lo, s_hi, o_lo, o_hi, verbatim)`` of a non-empty gap
+    between runs of paired tokens: up to a fixed length, its equal blocks and
+    the fuzz between them; a longer gap is one piece."""
+    if max(s_hi - s_lo, o_hi - o_lo) > _REFINE_LIMIT:
+        return [(s_lo, s_hi, o_lo, o_hi, False)]
+    pieces = []
     prev_a = prev_b = 0
     for a, b, size in _matching_blocks(stripped[s_lo:s_hi], original[o_lo:o_hi]):
         if a > prev_a:
-            segments.append((s_lo + prev_a, s_lo + a, o_lo + prev_b, o_lo + b))
+            pieces.append((s_lo + prev_a, s_lo + a, o_lo + prev_b, o_lo + b, False))
         if size:
-            segments.append((s_lo + a, s_lo + a + size, o_lo + b, o_lo + b + size))
+            pieces.append((s_lo + a, s_lo + a + size, o_lo + b, o_lo + b + size, True))
         prev_a, prev_b = a + size, b + size
-    return segments
+    return pieces
 
 
 def _split_tokens(text: str) -> tuple[list[str], list[str], int]:
@@ -215,45 +209,78 @@ def _token_starts(words: list[str], spaces: list[str], first: int) -> Callable[[
     return token_start
 
 
-def align_texts(stripped: str, original: str, starts: Sequence[int]) -> tuple[_Segment, ...]:
-    """Align a tag-stripped completion against the original text.
+def align_texts(
+    stripped: str, original: str, starts: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Align a tag-stripped completion against the original text, mapping
+    ``starts``, offsets in the stripped text, as the alignment is built.
 
     Tokens (maximal runs of non-whitespace) are paired by a longest common
     subsequence: common prefix and suffix first, then Myers' O(ND) diff of
     the tokens both sides share, within a fixed work budget past which the
     middle stays unpaired. Consecutive pairs with equal whitespace between
-    them form a run whose text is equal on both sides, and each run maps as
-    one piece. A gap between runs that holds one of ``starts``, the stripped
-    offsets to be mapped in ascending order, is refined to character offsets
-    with difflib up to a fixed length. Every other gap maps proportionally
-    as one piece: a start maps through the last segment at or before it, so
-    no start is moved by a gap it does not lie in.
+    them form a run, one verbatim piece. A gap between runs that holds a
+    start is refined with difflib up to a fixed length; no other gap is
+    read. Starts are sorted once, and a forward walk maps each through its
+    piece: offset by offset on equal lengths, else proportionally. A start
+    at the end maps to the original end of the last piece.
 
-    Returns segments that tile the stripped text left to right, none of them
-    empty on the stripped side; ``_map_starts`` maps offsets through them.
-    Identical inputs give one segment; an empty stripped text gives none.
+    Returns ``(mapped, reach)`` in the order of ``starts``: each start's
+    original offset, and the end of the verbatim piece holding it (a run, an
+    equal block of a refined gap, or the whole text when the two texts are
+    equal), or the start itself when none holds it.
     """
+    order = sorted(range(len(starts)), key=starts.__getitem__)
+    mapped, reach = [0] * len(starts), list(starts)
+    # The starts in ascending order, then an end mark that no piece reaches.
+    ahead = [*map(starts.__getitem__, order), len(stripped)]
+    k = 0  # ahead[k] is the next start to map
+
+    def take(s_lo: int, s_hi: int, o_lo: int, o_hi: int, verbatim: bool) -> None:
+        """Map the starts before ``s_hi`` through the piece from ``s_lo``."""
+        nonlocal k
+        while (offset := ahead[k]) < s_hi:
+            at = order[k]
+            if s_hi - s_lo == o_hi - o_lo:
+                mapped[at] = o_lo + offset - s_lo
+                if verbatim:
+                    reach[at] = s_hi
+            else:
+                mapped[at] = o_lo + round((offset - s_lo) * (o_hi - o_lo) / (s_hi - s_lo))
+            k += 1
+
+    def gap(s_lo: int, s_hi: int, o_lo: int, o_hi: int) -> int:
+        """Map the starts in a gap; returns the original end of the last piece up to ``s_hi``."""
+        if ahead[k] >= s_hi:
+            return o_hi if s_lo < s_hi else o_lo
+        for piece in _gap_pieces(stripped, original, s_lo, s_hi, o_lo, o_hi):
+            take(*piece)
+        return piece[3]
+
     if stripped == original:
-        return ((0, len(stripped), 0, len(original)),) if stripped else ()
-    words_s, spaces_s, first_s = _split_tokens(stripped)
-    words_o, spaces_o, first_o = _split_tokens(original)
-    start_s = _token_starts(words_s, spaces_s, first_s)
-    start_o = _token_starts(words_o, spaces_o, first_o)
-    pieces: list[_Segment] = []
-    prev_s = prev_o = 0
-    for i, j, size in _common_token_pairs(words_s, words_o):
-        # A run of pairs also breaks after a token followed by unequal whitespace.
-        differ = map(ne, spaces_s[i : i + size - 1], spaces_o[j : j + size - 1])
-        for first, stop in pairwise(chain((0,), compress(range(1, size), differ), (size,))):
-            lo_s, lo_o = start_s(i + first), start_o(j + first)
-            pieces += _gap_segments(stripped, original, prev_s, lo_s, prev_o, lo_o, starts)
-            prev_s = start_s(i + stop - 1) + len(words_s[i + stop - 1])
-            prev_o = start_o(j + stop - 1) + len(words_o[j + stop - 1])
-            pieces.append((lo_s, prev_s, lo_o, prev_o))
-    pieces += _gap_segments(
-        stripped, original, prev_s, len(stripped), prev_o, len(original), starts
-    )
-    return tuple(pieces)
+        take(0, len(stripped), 0, len(original), True)
+        o_end = len(original)
+    else:
+        words_s, spaces_s, first_s = _split_tokens(stripped)
+        words_o, spaces_o, first_o = _split_tokens(original)
+        start_s = _token_starts(words_s, spaces_s, first_s)
+        start_o = _token_starts(words_o, spaces_o, first_o)
+        prev_s = prev_o = 0
+        for i, j, size in _common_token_pairs(words_s, words_o):
+            # A run of pairs also breaks after a token followed by unequal whitespace.
+            differ = map(ne, spaces_s[i : i + size - 1], spaces_o[j : j + size - 1])
+            for first, stop in pairwise(chain((0,), compress(range(1, size), differ), (size,))):
+                lo_s, lo_o = start_s(i + first), start_o(j + first)
+                if ahead[k] < lo_s:
+                    gap(prev_s, lo_s, prev_o, lo_o)
+                prev_s = start_s(i + stop - 1) + len(words_s[i + stop - 1])
+                prev_o = start_o(j + stop - 1) + len(words_o[j + stop - 1])
+                if ahead[k] < prev_s:
+                    take(lo_s, prev_s, lo_o, prev_o, True)
+        o_end = gap(prev_s, len(stripped), prev_o, len(original))
+    for at in order[k:]:
+        mapped[at] = o_end
+    return mapped, reach
 
 
 @lru_cache(maxsize=64)
@@ -318,33 +345,6 @@ def _scan_tags(
     return "".join(texts), spans
 
 
-def _map_starts(segments: Sequence[_Segment], starts: Sequence[int]) -> list[int]:
-    """Map span starts through the segments in one forward walk.
-
-    A start maps through the last segment that starts at or before it,
-    proportionally, which is offset by offset when both sides have equal
-    lengths; one at or past that segment's end maps to its end. With no
-    segments every start maps to 0. Starts are sorted once, so the walk's
-    segment only moves forward.
-    """
-    mapped = [0] * len(starts)
-    index, last = 0, len(segments) - 1
-    s_lo, s_hi, o_lo, o_hi = segments[0] if segments else (0, 0, 0, 0)
-    for at in sorted(range(len(starts)), key=starts.__getitem__):
-        offset = starts[at]
-        while index < last and segments[index + 1][0] <= offset:
-            index += 1
-            s_lo, s_hi, o_lo, o_hi = segments[index]
-        if offset >= s_hi:
-            mapped[at] = o_hi
-        elif s_hi - s_lo == o_hi - o_lo:
-            mapped[at] = o_lo + offset - s_lo
-        else:
-            # Proportional, and exact at both ends: k * n / k is n in floating point.
-            mapped[at] = o_lo + round((offset - s_lo) * (o_hi - o_lo) / (s_hi - s_lo))
-    return mapped
-
-
 def _nearest_occurrence(text: str, needle: str, near: int) -> int:
     """Start of the occurrence of ``needle`` closest to ``near``, or -1.
 
@@ -396,16 +396,15 @@ def parse_inline(
             )
     warnings: list[str] = []
     stripped, spans = _scan_tags(completion, schema.labels, delimiters, warnings)
-    starts = [start for start, _, _ in spans]
-    mapped = _map_starts(align_texts(stripped, original, sorted(starts)), starts)
+    mapped, reach = align_texts(stripped, original, [start for start, _, _ in spans])
     annotations: set[Annotation] = set()
-    for (start, end, label), at in zip(spans, mapped):
-        mention = stripped[start:end]
-        if not mention:
+    for (start, end, label), at, verbatim_end in zip(spans, mapped, reach):
+        if start == end:
             warnings.append(f"empty {label!r} tag pair dropped")
             continue
-        if original.startswith(mention, at):
-            annotations.add(Annotation(at, at + len(mention), label))
+        # A span within one verbatim piece is held at ``at`` without a check.
+        if end <= verbatim_end or original.startswith(mention := stripped[start:end], at):
+            annotations.add(Annotation(at, at + end - start, label))
             continue
         best = _nearest_occurrence(original, mention, at)
         if best != -1:

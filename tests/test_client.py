@@ -809,6 +809,34 @@ class TestConnectionPool:
         assert len(dialled) == 2
         assert len(keep_alive_server.requests) == 2
 
+    def test_reused_connection_closed_unanswered_is_reopened_once(
+        self, keep_alive_server, dialled
+    ):
+        # The connection passes the readiness poll and is closed only after
+        # the server has read the second request, so no byte of a reply
+        # arrives: the request goes once more, on a new connection.
+        keep_alive_server.script = [
+            keep_alive_server.reply("one"), ("close", None), keep_alive_server.reply("two")
+        ]
+        backend = HttpBackend()
+        assert backend.complete(CONVO, self.config(keep_alive_server)) == "one"
+        assert backend.complete(CONVO, self.config(keep_alive_server)) == "two"
+        assert len(keep_alive_server.requests) == 3
+        assert len(dialled) == 2
+        assert len({r["client"] for r in keep_alive_server.requests}) == 2
+
+    def test_reopened_connection_closed_unanswered_fails(self, keep_alive_server, dialled):
+        keep_alive_server.script = [
+            keep_alive_server.reply("one"), ("close", None), ("close", None)
+        ]
+        backend = HttpBackend()
+        assert backend.complete(CONVO, self.config(keep_alive_server)) == "one"
+        with pytest.raises(BackendConnectionError):
+            backend.complete(CONVO, self.config(keep_alive_server))
+        assert len(keep_alive_server.requests) == 3
+        assert len(dialled) == 2
+        assert len({r["client"] for r in keep_alive_server.requests}) == 2
+
     def test_reply_cut_short_on_a_reused_connection_is_not_resent(
         self, keep_alive_server, dialled
     ):

@@ -122,6 +122,18 @@ class TestValidateDocument:
         with pytest.raises(ValueError, match=message):
             fits("ab", Annotation(0, 1, 5), Annotation(0, 1, "x"))
 
+    @pytest.mark.parametrize("offset", ["0", None])
+    def test_offsets_of_mixed_types_reported(self, offset):
+        # Offsets that are not numbers sort after the numbers, by their repr,
+        # and the message shows each offset as it was given.
+        message = rf"^annotation \({offset!r}, 1, 'x'\) does not fit the text: offsets must be"
+        with pytest.raises(ValueError, match=message):
+            fits("ab", Annotation(offset, 1, "x"), Annotation(0, 1, "x"))
+        with pytest.raises(ValueError, match=message):
+            fits("ab", Annotation(offset, 1, "x"))
+        with pytest.raises(ValueError, match=r"^annotation \(0, '1', 'x'\) does not fit"):
+            fits("ab", Annotation(0, "1", "x"), Annotation(0, 2, "x"), Annotation(None, 1, "x"))
+
     @pytest.mark.parametrize(
         "annotation, reason",
         [

@@ -213,6 +213,18 @@ class TestContextualize:
                         SCHEMA, examples=[flagged]
                     )
 
+    @pytest.mark.parametrize("offset", ["0", None])
+    def test_example_with_offsets_of_mixed_types_rejected(self, offset):
+        # Sorting its spans must not compare a string or None with an int.
+        spans = [Annotation(offset, 1, "person"), Annotation(0, 1, "person")]
+        mixed = AnnotatedDocument("ab", spans)
+        for method in ("single_turn", "multi_turn"):
+            for shape in ("inline", "json"):
+                with pytest.raises(ConfigError, match="example 0 .*offsets must be integers"):
+                    FewShotNer(method=method, answer_shape=shape).contextualize(
+                        SCHEMA, examples=[mixed]
+                    )
+
     def test_example_with_unknown_labels_of_mixed_types_rejected(self):
         mixed = AnnotatedDocument("ab", [Annotation(0, 1, 5), Annotation(1, 2, "city")])
         expected = r"^example 0 uses labels outside the schema: \['city', 5\]$"

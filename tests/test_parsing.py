@@ -143,21 +143,18 @@ def drifted_echoes(draw):
 
 class TestAlignTexts:
     def test_identity(self):
-        segments = align_texts("abc def", "abc def", range(7))
-        assert segments == ((0, 7, 0, 7),)
-        assert parsing._map_starts(segments, [0]) == [0]
+        # Equal texts are one verbatim piece; a start at the end is in none.
+        assert align_texts("abc def", "abc def", [3, 7, 0]) == ([3, 7, 0], [7, 7, 7])
 
     def test_single_token_replacement_maps_in_place(self):
-        segments = align_texts("abc deX", "abc def", range(8))
-        assert parsing._map_starts(segments, range(8)) == list(range(8))
+        mapped, _ = align_texts("abc deX", "abc def", range(8))
+        assert mapped == list(range(8))
 
     def test_empty_stripped_gives_empty_map(self):
-        assert align_texts("", "abc", [0, 2]) == ()
-        assert parsing._map_starts((), [0, 2]) == [0, 0]
+        assert align_texts("", "abc", [0, 2]) == ([0, 0], [0, 2])
 
     def test_disjoint_texts_map_proportionally(self):
-        segments = align_texts("xyz", "abcdef", range(4))
-        assert parsing._map_starts(segments, range(4)) == [0, 2, 4, 6]
+        assert align_texts("xyz", "abcdef", range(4)) == ([0, 2, 4, 6], [0, 1, 2, 3])
 
     @given(st.text(max_size=60), st.text(max_size=60), st.data())
     @settings(max_examples=150, deadline=None)
@@ -167,16 +164,14 @@ class TestAlignTexts:
             return
         a = data.draw(st.integers(0, len(stripped) - 2))
         b = data.draw(st.integers(a + 1, len(stripped) - 1))
-        segments = align_texts(stripped, original, [a, b])
-        mapped_a, mapped_b = parsing._map_starts(segments, [a, b])
+        (mapped_b, mapped_a), _ = align_texts(stripped, original, [b, a])
         assert mapped_a <= mapped_b
 
     @given(st.text(max_size=60))
     @settings(max_examples=80, deadline=None)
     def test_identity_inputs_map_every_offset_identically(self, text):
         offsets = range(len(text) + 1)
-        segments = align_texts(text, text, offsets)
-        assert parsing._map_starts(segments, offsets) == list(offsets)
+        assert align_texts(text, text, offsets)[0] == list(offsets)
 
     @given(drifted_echoes())
     @settings(max_examples=400, deadline=None)
@@ -190,9 +185,8 @@ class TestAlignTexts:
     def test_maps_every_offset_like_per_token_segments(self, texts):
         stripped, original = texts
         offsets = range(len(stripped) + 1)
-        segments = align_texts(stripped, original, offsets)
         reference = _per_token_segments(stripped, original)
-        assert parsing._map_starts(segments, offsets) == [
+        assert align_texts(stripped, original, offsets)[0] == [
             _reference_map_offset(reference, offset, False) for offset in offsets
         ]
 
@@ -200,29 +194,39 @@ class TestAlignTexts:
     @settings(max_examples=300, deadline=None)
     def test_unrefined_gaps_never_reach_a_start(self, texts, data):
         # Only gaps holding a start are refined, and a start maps through
-        # the last segment at or before it, so every start maps as if all
-        # gaps were refined.
+        # its own piece, so every start maps as if all gaps were refined.
         stripped, original = texts
         keep = data.draw(st.lists(st.booleans(), min_size=len(stripped), max_size=len(stripped)))
         starts = [offset for offset, kept in enumerate(keep) if kept]
         reference = _per_token_segments(stripped, original)
-        assert parsing._map_starts(align_texts(stripped, original, starts), starts) == [
+        assert align_texts(stripped, original, starts)[0] == [
             _reference_map_offset(reference, start, False) for start in starts
         ]
 
+    @given(drifted_echoes())
+    @settings(max_examples=300, deadline=None)
+    @example(("a b", "a b"))
+    @example(("ab cd", "ab c d"))
+    def test_reach_ends_a_verbatim_piece(self, texts):
+        # The original holds the stripped text from a start to its reach
+        # verbatim at the mapped start.
+        stripped, original = texts
+        starts = range(len(stripped) + 1)
+        for start, at, reach in zip(starts, *align_texts(stripped, original, starts)):
+            assert start <= reach <= len(stripped)
+            if reach > start:
+                assert original[at : at + reach - start] == stripped[start:reach]
+
     @pytest.mark.parametrize(
-        "starts, segments, refined",
+        "starts, aligned, refined",
         [
-            ([0, 7], ((0, 2, 0, 2), (2, 7, 2, 8), (7, 9, 8, 10)), []),
-            (
-                [4],
-                ((0, 2, 0, 2), (2, 4, 2, 4), (4, 5, 4, 6), (5, 7, 6, 8), (7, 9, 8, 10)),
-                [(" bXc ", " bYYc ")],
-            ),
+            ([0, 7], ([0, 8], [2, 9]), []),
+            ([4], ([4], [4]), [(" bXc ", " bYYc ")]),
+            ([3, 5], ([3, 6], [4, 7]), [(" bXc ", " bYYc ")]),
         ],
-        ids=["no start in the gap", "a start in the gap"],
+        ids=["no start in the gap", "a start in the gap", "starts in equal blocks of the gap"],
     )
-    def test_only_a_gap_holding_a_start_is_refined(self, monkeypatch, starts, segments, refined):
+    def test_only_a_gap_holding_a_start_is_refined(self, monkeypatch, starts, aligned, refined):
         # The gap " bXc " between the runs "aa" and "dd" against " bYYc ".
         calls, matching_blocks = [], parsing._matching_blocks
 
@@ -231,26 +235,8 @@ class TestAlignTexts:
             return matching_blocks(a, b)
 
         monkeypatch.setattr(parsing, "_matching_blocks", counting)
-        assert align_texts("aa bXc dd", "aa bYYc dd", starts) == segments
+        assert align_texts("aa bXc dd", "aa bYYc dd", starts) == aligned
         assert calls == refined
-
-    @given(st.one_of(st.tuples(st.text(max_size=60), st.text(max_size=60)), drifted_echoes()))
-    @settings(max_examples=300, deadline=None)
-    @example(("", "abc"))
-    @example(("a b", ""))
-    def test_segments_tile_the_stripped_text_in_order(self, texts):
-        # What _map_starts' forward walk relies on.
-        stripped, original = texts
-        segments = align_texts(stripped, original, range(len(stripped)))
-        if not stripped:
-            assert segments == ()
-            return
-        assert segments[0][0] == 0
-        assert segments[-1][1] == len(stripped)
-        assert all(s_lo < s_hi for s_lo, s_hi, _, _ in segments)
-        assert all(a[1] == b[0] for a, b in zip(segments, segments[1:]))
-        assert all(0 <= o_lo <= o_hi <= len(original) for _, _, o_lo, o_hi in segments)
-        assert all(a[3] <= b[2] for a, b in zip(segments, segments[1:]))
 
 
 @st.composite
@@ -272,7 +258,7 @@ class TestMapSpans:
         stripped, original, spans = case
         reference = _per_token_segments(stripped, original)
         starts = [start for start, _, _ in spans]
-        assert parsing._map_starts(align_texts(stripped, original, sorted(starts)), starts) == [
+        assert align_texts(stripped, original, starts)[0] == [
             _reference_map_offset(reference, start, False) for start in starts
         ]
 
@@ -894,6 +880,10 @@ def _nested_starts_over_an_identical_echo(n):
     return " ".join(random.Random(n).choices("abcdefghij", k=n)), list(range(2 * n - 2, -1, -2))
 
 
+def _nested_tags_over_an_identical_echo(n):
+    return _nested_tags(n), " ".join(random.Random(n).choices("abcdefghij", k=n))
+
+
 def _whitespace_runs(n):
     # The same n tokens on both sides, each followed by one to three spaces
     # drawn per side, so most pairs are runs of their own with a gap to refine.
@@ -907,6 +897,8 @@ def _whitespace_runs(n):
 # input maker and the run. Stray closing tags are left out: their ratio read
 # 4.4-7.6, too near the bound to tell linear from quadratic. Drifted echoes
 # are left out too: their alignment crosses _DIFF_BUDGET between n and 4n.
+# parse_inline on nested tags starts at a size whose run took 120 ms: slicing
+# every mention read 10.8 there, and 8.5 at half the size.
 INLINE_GROWTH_FAMILIES = {
     "tags nested to full depth": (
         80_000, _nested_tags, lambda completion: parsing._scan_tags(completion, ("x",), None, [])
@@ -914,7 +906,12 @@ INLINE_GROWTH_FAMILIES = {
     "starts of nested tags over an identical echo": (
         400_000,
         _nested_starts_over_an_identical_echo,
-        lambda case: parsing._map_starts(align_texts(case[0], case[0], sorted(case[1])), case[1]),
+        lambda case: align_texts(case[0], case[0], case[1]),
+    ),
+    "parse_inline on nested tags over an identical echo": (
+        50_000,
+        _nested_tags_over_an_identical_echo,
+        lambda case: parse_inline(*case, EntitySchema({"x": "Xs."})),
     ),
     "whitespace runs": (
         40_000, _whitespace_runs, lambda texts: align_texts(*texts, range(len(texts[0])))
@@ -948,8 +945,10 @@ class TestAdversarialSizes:
     def test_align_and_parse_within_bounds(self, case):
         completion, original = ADVERSARIAL_ECHOES[case]()
         stripped = completion.replace("<x>", "").replace("</x>", "")
-        amap = self._timed(case, lambda: align_texts(stripped, original, range(len(stripped))))
-        assert amap
+        mapped, reach = self._timed(
+            case, lambda: align_texts(stripped, original, range(len(stripped)))
+        )
+        assert len(mapped) == len(reach) == len(stripped)
         doc, _ = self._timed(
             case, lambda: parse_inline(completion, original, self.SCHEMA)
         )
@@ -959,28 +958,19 @@ class TestAdversarialSizes:
     def test_pairs_nested_to_full_depth_within_bounds(self):
         # Every token opens a pair and all of them close at the end, so the
         # pairs come out of the stack with their starts in reverse order.
-        # The scan, the alignment and the mapping took 0.42, 0.00 and 0.41 s
-        # on a 2-vCPU machine. parse_inline is left unbounded: the mentions
-        # it slices add up to depth times text, though none is compared
-        # against a slice of the original.
+        # Each mention lies within the one verbatim piece of an identical
+        # echo, so none is sliced: parse_inline took 0.56 s on a 2-vCPU
+        # machine, where slicing every mention took 2.7 s.
         n = 200_000
         rng = random.Random(13)
         tokens = [rng.choice("abcdefghij") for _ in range(n)]
         completion = " ".join("<x>" + token for token in tokens) + "</x>" * n
         original = " ".join(tokens)
-
-        def scan_align_map():
-            warnings: list[str] = []
-            stripped, spans = parsing._scan_tags(completion, ("x",), None, warnings)
-            starts = [start for start, _, _ in spans]
-            segments = align_texts(stripped, original, sorted(starts))
-            return spans, warnings, parsing._map_starts(segments, starts)
-
-        spans, warnings, mapped = self._timed("pairs nested to full depth", scan_align_map)
-        assert warnings == []
-        assert spans[0] == (len(original) - 1, len(original), "x")
-        assert spans[-1] == (0, len(original), "x")
-        assert mapped == [start for start, _, _ in spans]
+        doc, report = self._timed(
+            "pairs nested to full depth", lambda: parse_inline(completion, original, self.SCHEMA)
+        )
+        assert report.warnings == ()
+        assert doc.annotations == {Annotation(2 * k, len(original), "x") for k in range(n)}
 
     @pytest.mark.parametrize("family", sorted(INLINE_GROWTH_FAMILIES))
     def test_time_grows_linearly(self, family):
@@ -1056,21 +1046,36 @@ class TestAdversarialSizes:
 class TestAlignmentMemory:
     """Alignment keeps a few pointers per token, and no Python int per offset."""
 
-    # tracemalloc's peak inside align_texts on 200,000 one-character tokens
-    # is 11.3 MB on CPython 3.11; per-token offset lists and pair tuples took
-    # it to 66 MB before. The bound leaves about twice the measured peak.
+    # tracemalloc's peak on 200,000 one-character tokens with a span on every
+    # tenth is 12.6 MB inside align_texts, given the completion's span
+    # starts, and 15.9 MB inside parse_inline, on CPython 3.11. Per-token
+    # offset lists and pair tuples took alignment to 66 MB before. The bound
+    # leaves about twice the measured peak.
     PEAK_LIMIT_MB = 24
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_peak_memory_within_bound(self):
         completion, original = _one_char_tokens(200_000)
-        stripped = completion.replace("<x>", "").replace("</x>", "")
-        tracemalloc.start()
-        try:
-            amap = align_texts(stripped, original, range(len(stripped)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert amap
+        stripped, spans = parsing._scan_tags(completion, ("x",), None, [])
+        starts = [start for start, _, _ in spans]
+        (mapped, _), peak = self._peak(lambda: align_texts(stripped, original, starts))
+        assert len(mapped) == len(starts) > 0
+        assert peak < self.PEAK_LIMIT_MB * 1e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_parse_inline_peak_memory_within_bound(self):
+        completion, original = _one_char_tokens(200_000)
+        (doc, _), peak = self._peak(
+            lambda: parse_inline(completion, original, EntitySchema({"x": "Xs."}))
+        )
+        assert doc.annotations
         assert peak < self.PEAK_LIMIT_MB * 1e6, f"peak {peak / 1e6:.1f} MB"
 
 

@@ -170,6 +170,16 @@ class TestRenderInline:
         with pytest.raises(RenderError, match="label is not a string$"):
             render_inline(AnnotatedDocument("ab", annotations))
 
+    @pytest.mark.parametrize("offset", ["0", None])
+    def test_offsets_of_mixed_types_rejected(self, offset):
+        # Sorting the spans compares no offset with one of another type.
+        doc = AnnotatedDocument("ab", [Annotation(offset, 1, "x"), Annotation(0, 1, "x")])
+        message = rf"^invalid document: annotation \({offset!r}, 1, 'x'\) does not fit the text: "
+        with pytest.raises(RenderError, match=message + "offsets must be integers$"):
+            render_inline(doc)
+        with pytest.raises(RenderError, match=message + "offsets must be integers$"):
+            render_json(doc, EntitySchema({"x": "Xs."}))
+
     def test_tag_stripping_recovers_text(self, country_doc):
         rendered = render_inline(country_doc)
         stripped = (

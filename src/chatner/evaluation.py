@@ -73,8 +73,10 @@ def _read_documents(lines: Iterable[str]) -> Iterator[AnnotatedDocument]:
 
 
 def read_conll(stream: Iterable[str] | str) -> list[AnnotatedDocument]:
-    """Read CoNLL content (an iterable of lines or one string) as documents."""
-    return list(_read_documents(io.StringIO(stream) if isinstance(stream, str) else stream))
+    """Read CoNLL content (an iterable of lines or one string) as documents.
+    A string splits at ``\\n``, ``\\r\\n`` and ``\\r``, as a file does."""
+    lines = io.StringIO(stream, newline=None) if isinstance(stream, str) else stream
+    return list(_read_documents(lines))
 
 
 def read_conll_file(path: str | Path) -> list[AnnotatedDocument]:

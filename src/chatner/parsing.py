@@ -14,10 +14,11 @@ and suffix are paired directly, tokens missing from the other side are
 dropped, and Myers' O(ND) difference algorithm pairs the rest within a
 fixed work budget. A run of pairs with equal whitespace between them is
 one verbatim piece. Only a bounded gap between runs that holds a span
-start is refined character by character, and no other gap is read. So
-alignment, like JSON block extraction, takes near-linear time and recurses
-nowhere. Tokens come from ``str.split()``, which is all the work for a text
-with single spaces between its tokens; other texts, and tags, take one
+start is refined character by character, its blocks mapped as they are
+read, so no list of pieces is built; no other gap is read. So alignment,
+like JSON block extraction, takes near-linear time and recurses nowhere.
+Tokens come from ``str.split()``, which is all the work for a text with
+single spaces between its tokens; other texts, and tags, take one
 ``re.split`` each. No Python loop builds a string, an offset or an
 alignment piece per token, and no offset is stored per token. Tags are
 paired on a stack as they are read, in the pass that strips them.
@@ -161,25 +162,6 @@ def _matching_blocks(a: str, b: str) -> list[tuple[int, int, int]]:
     return difflib.SequenceMatcher(None, a, b, autojunk=False).get_matching_blocks()
 
 
-def _gap_pieces(
-    stripped: str, original: str, s_lo: int, s_hi: int, o_lo: int, o_hi: int
-) -> list[tuple[int, int, int, int, bool]]:
-    """The pieces ``(s_lo, s_hi, o_lo, o_hi, verbatim)`` of a non-empty gap
-    between runs of paired tokens: up to a fixed length, its equal blocks and
-    the fuzz between them; a longer gap is one piece."""
-    if max(s_hi - s_lo, o_hi - o_lo) > _REFINE_LIMIT:
-        return [(s_lo, s_hi, o_lo, o_hi, False)]
-    pieces = []
-    prev_a = prev_b = 0
-    for a, b, size in _matching_blocks(stripped[s_lo:s_hi], original[o_lo:o_hi]):
-        if a > prev_a:
-            pieces.append((s_lo + prev_a, s_lo + a, o_lo + prev_b, o_lo + b, False))
-        if size:
-            pieces.append((s_lo + a, s_lo + a + size, o_lo + b, o_lo + b + size, True))
-        prev_a, prev_b = a + size, b + size
-    return pieces
-
-
 def _split_tokens(text: str) -> tuple[list[str], list[str], int]:
     """Tokens, the whitespace after each, and the offset of the first token.
 
@@ -222,8 +204,10 @@ def align_texts(
     them form a run, one verbatim piece. A gap between runs that holds a
     start is refined with difflib up to a fixed length; no other gap is
     read. Starts are sorted once, and a forward walk maps each through its
-    piece: offset by offset on equal lengths, else proportionally. A start
-    at the end maps to the original end of the last piece.
+    piece: offset by offset on equal lengths, else proportionally. A
+    refined gap's blocks, and the fuzz between them, are mapped as they are
+    read, so no piece list is built. A start at the end maps to the
+    original end of the last piece.
 
     Returns ``(mapped, reach)`` in the order of ``starts``: each start's
     original offset, and the end of the verbatim piece holding it (a run, an
@@ -250,12 +234,23 @@ def align_texts(
             k += 1
 
     def gap(s_lo: int, s_hi: int, o_lo: int, o_hi: int) -> int:
-        """Map the starts in a gap; returns the original end of the last piece up to ``s_hi``."""
+        """Map the starts in a gap, refined up to a fixed length; returns the
+        original end of the last piece up to ``s_hi``."""
         if ahead[k] >= s_hi:
             return o_hi if s_lo < s_hi else o_lo
-        for piece in _gap_pieces(stripped, original, s_lo, s_hi, o_lo, o_hi):
-            take(*piece)
-        return piece[3]
+        if max(s_hi - s_lo, o_hi - o_lo) > _REFINE_LIMIT:
+            take(s_lo, s_hi, o_lo, o_hi, False)
+            return o_hi
+        prev_a = prev_b = end = 0
+        for a, b, size in _matching_blocks(stripped[s_lo:s_hi], original[o_lo:o_hi]):
+            if a > prev_a:
+                take(s_lo + prev_a, s_lo + a, o_lo + prev_b, o_lo + b, False)
+                end = b
+            if size:
+                take(s_lo + a, s_lo + a + size, o_lo + b, o_lo + b + size, True)
+                end = b + size
+            prev_a, prev_b = a + size, b + size
+        return o_lo + end
 
     if stripped == original:
         take(0, len(stripped), 0, len(original), True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -464,6 +465,15 @@ class TestDumpPrompt:
         )
         assert result.exit_code == 0, result.output
         assert result.stdout.endswith("[user]\nText:\nAda wrote.\n")
+
+    def test_console_that_cannot_encode_the_prompt_gets_utf8(self, runner, workdir, monkeypatch):
+        command = ["dump-prompt", "--schema", str(workdir / "schema.json"), "--text", "aé"]
+        expected = runner.invoke(main, command).stdout
+        console = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", console)
+        main.main(command, standalone_mode=False)
+        assert console.buffer.getvalue() == expected.encode("utf-8")
+        assert expected.endswith("Text:\naé\n")
 
     def test_contacts_no_backend(self, runner, workdir):
         result = runner.invoke(

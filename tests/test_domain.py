@@ -198,6 +198,9 @@ class TestEntitySchema:
         schema = EntitySchema({"b": "B.", "a": "A."})
         assert schema.labels == ("b", "a")
 
+    def test_repr_shows_the_entries(self):
+        assert repr(EntitySchema({"a": "b"})) == "EntitySchema({'a': 'b'})"
+
     def test_mapping_protocol(self, golden_schema):
         assert golden_schema["person"].startswith("A person")
         assert len(golden_schema) == 3

@@ -136,6 +136,16 @@ class TestReadConll:
         path.write_bytes(b"\xef\xbb\xbf" + content.encode("utf-8"))
         assert read_conll_file(path) == read_conll(content)
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_file_and_string_split_at_the_same_line_breaks(self, tmp_path, ending):
+        content = "Ada B-PER\nwent O\n\nRome B-LOC\n".replace("\n", ending)
+        path = tmp_path / "endings.conll"
+        path.write_text(content, encoding="utf-8", newline="")
+        assert read_conll_file(path) == read_conll(content) == [
+            AnnotatedDocument("Ada went", [Annotation(0, 3, "PER")]),
+            AnnotatedDocument("Rome", [Annotation(0, 4, "LOC")]),
+        ]
+
     def test_file_that_is_not_utf8_is_a_conll_error(self, tmp_path):
         path = tmp_path / "latin1.conll"
         path.write_bytes("Bogot\xe1 B-LOC\n".encode("latin-1"))

@@ -170,11 +170,11 @@ class HttpBackend:
     did not say ``Connection: close``, was framed by ``Content-Length`` or
     chunked, and was read to its end with nothing past it; any other
     outcome, an error included, closes it. An idle socket that has bytes
-    waiting, or an end of stream, is closed rather than reused. A reused connection that fails before any
-    byte of the reply arrives (the server closed it while it idled) is
-    reopened once. Idle sockets are closed when the backend is
-    garbage-collected. Redirects are not followed: they would resend the API
-    key to wherever they point.
+    waiting, or an end of stream, is closed rather than reused. A reused
+    connection that fails before any byte of the reply arrives (the server
+    closed it while it idled) is reopened once. Idle sockets are closed
+    when the backend is garbage-collected. Redirects are not followed: they
+    would resend the API key to wherever they point.
     """
 
     def __init__(self) -> None:

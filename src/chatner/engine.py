@@ -9,7 +9,6 @@ refuses to run before ``contextualize``.
 
 from __future__ import annotations
 
-import inspect
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -81,6 +80,7 @@ def _check_workers(workers: int) -> int:
     return workers
 
 
+@dataclass(kw_only=True, eq=False, repr=False)
 class NerModel:
     """Named entity recognition through a chat-completion model.
 
@@ -107,64 +107,44 @@ class NerModel:
     :class:`chatner.client.BackendConfig`. Every parameter that names a
     field of it or of :class:`chatner.domain.NerConfig` takes its default
     from there, and ``contextualize`` builds both from these parameters.
+    Models compare by identity, and their repr never shows ``api_key``.
     """
 
-    _example_rule: str | None = None  # "refuses" or "requires" examples; None: either
+    # Unannotated, so neither is a parameter.
+    _example_rule = None  # "refuses" or "requires" examples; None: either
+    schema_ = None  # bound by contextualize
 
-    def __init__(
-        self,
-        *,
-        method: str = NerConfig.method,
-        multi_turn_mode: str = NerConfig.multi_turn_mode,
-        answer_shape: str = NerConfig.answer_shape,
-        delimiters: tuple[str, str] | None = NerConfig.delimiters,
-        pos_mode: str = NerConfig.pos_mode,
-        pos_tagger: Callable | None = None,
-        model: str = BackendConfig.model,
-        temperature: float = BackendConfig.temperature,
-        max_tokens: int = BackendConfig.max_tokens,
-        max_retries: int = BackendConfig.max_retries,
-        max_concurrency: int = 1,
-        templates: PromptTemplateSet | Mapping[str, str] | str | Path | None = None,
-        backend: CompletionBackend | None = None,
-        base_url: str = BackendConfig.base_url,
-        api_key: str | None = BackendConfig.api_key,
-        timeout: float = BackendConfig.timeout,
-        initial_backoff_ms: float = BackendConfig.initial_backoff_ms,
-    ):
-        self.method = method
-        self.multi_turn_mode = multi_turn_mode
-        self.answer_shape = answer_shape
-        self.delimiters = delimiters
-        self.pos_mode = pos_mode
-        self.pos_tagger = pos_tagger
-        self.model = model
-        self.temperature = temperature
-        self.max_tokens = max_tokens
-        self.max_retries = max_retries
-        self.max_concurrency = max_concurrency
-        self.templates = templates
-        self.backend = backend
-        self.base_url = base_url
-        self.api_key = api_key
-        self.timeout = timeout
-        self.initial_backoff_ms = initial_backoff_ms
-        self.schema_: EntitySchema | None = None
+    method: str = NerConfig.method
+    multi_turn_mode: str = NerConfig.multi_turn_mode
+    answer_shape: str = NerConfig.answer_shape
+    delimiters: tuple[str, str] | None = NerConfig.delimiters
+    pos_mode: str = NerConfig.pos_mode
+    pos_tagger: Callable | None = None
+    model: str = BackendConfig.model
+    temperature: float = BackendConfig.temperature
+    max_tokens: int = BackendConfig.max_tokens
+    max_retries: int = BackendConfig.max_retries
+    max_concurrency: int = 1
+    templates: PromptTemplateSet | Mapping[str, str] | str | Path | None = None
+    backend: CompletionBackend | None = None
+    base_url: str = BackendConfig.base_url
+    api_key: str | None = BackendConfig.api_key
+    timeout: float = BackendConfig.timeout
+    initial_backoff_ms: float = BackendConfig.initial_backoff_ms
 
     # -- scikit-learn style parameter plumbing ---------------------------
 
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        signature = inspect.signature(cls.__init__)
-        return [name for name in signature.parameters if name != "self"]
-
     def get_params(self, deep: bool = True) -> dict[str, Any]:
-        """Constructor parameters as a dict, scikit-learn style."""
-        return {name: getattr(self, name) for name in self._param_names()}
+        """Constructor parameters as a dict, scikit-learn style.
+
+        ``deep`` is accepted for scikit-learn compatibility and changes
+        nothing: no parameter is itself an estimator.
+        """
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     def set_params(self, **params: Any) -> "NerModel":
         """Update constructor parameters; unknown names raise ValueError."""
-        valid = set(self._param_names())
+        valid = {field.name for field in fields(self)}
         for name, value in params.items():
             if name not in valid:
                 raise ValueError(

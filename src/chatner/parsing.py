@@ -207,7 +207,7 @@ def align_texts(
     piece: offset by offset on equal lengths, else proportionally. A
     refined gap's blocks, and the fuzz between them, are mapped as they are
     read, so no piece list is built. A start at the end maps to the
-    original end of the last piece.
+    original end of the last piece, whatever other starts are passed.
 
     Returns ``(mapped, reach)`` in the order of ``starts``: each start's
     original offset, and the end of the verbatim piece holding it (a run, an
@@ -216,8 +216,8 @@ def align_texts(
     """
     order = sorted(range(len(starts)), key=starts.__getitem__)
     mapped, reach = [0] * len(starts), list(starts)
-    # The starts in ascending order, then an end mark that no piece reaches.
-    ahead = [*map(starts.__getitem__, order), len(stripped)]
+    # The starts in ascending order, then an end mark past the last offset.
+    ahead = [*map(starts.__getitem__, order), len(stripped) + 1]
     k = 0  # ahead[k] is the next start to map
 
     def take(s_lo: int, s_hi: int, o_lo: int, o_hi: int, verbatim: bool) -> None:
@@ -236,7 +236,7 @@ def align_texts(
     def gap(s_lo: int, s_hi: int, o_lo: int, o_hi: int) -> int:
         """Map the starts in a gap, refined up to a fixed length; returns the
         original end of the last piece up to ``s_hi``."""
-        if ahead[k] >= s_hi:
+        if ahead[k] > s_hi or s_lo == s_hi:
             return o_hi if s_lo < s_hi else o_lo
         if max(s_hi - s_lo, o_hi - o_lo) > _REFINE_LIMIT:
             take(s_lo, s_hi, o_lo, o_hi, False)
@@ -478,7 +478,8 @@ def parse_json_answer(
     non-overlapping occurrence is annotated. A mention listed again under
     the same label is skipped, so it is searched and warned about once.
     Mentions that fail verbatim are retried with surrounding whitespace
-    trimmed, then dropped with a warning. Unknown labels are dropped with a
+    trimmed, then dropped with a warning; an empty or blank mention is
+    dropped with a warning at once. Unknown labels are dropped with a
     warning. A missing or undecodable JSON block raises ParseError, also
     when it nests too deep to decode.
     """
@@ -515,12 +516,12 @@ def parse_json_answer(
             if mention in seen:  # its spans are in already, or it failed already
                 continue
             seen.add(mention)
-            if not mention:
+            trimmed = mention.strip()
+            if not trimmed:
                 warnings.append(f"empty mention for {key!r} dropped")
                 continue
             spans = _nonoverlapping_spans(original, mention)
-            if not spans and mention.strip() and mention.strip() != mention:
-                trimmed = mention.strip()
+            if not spans and trimmed != mention:
                 spans = _nonoverlapping_spans(original, trimmed)
                 if spans:
                     warnings.append(

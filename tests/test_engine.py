@@ -65,6 +65,14 @@ class TestParams:
         for field in dataclasses.fields(config_class):
             assert parameters[field.name].default == field.default, field.name
 
+    def test_repr_hides_the_key_equality_is_identity_and_parameters_are_keywords(self):
+        assert "sk-secret" not in repr(NerModel(api_key="sk-secret"))
+        first, second = NerModel(), NerModel()
+        assert first == first and first != second
+        assert len({first, second}) == 2
+        with pytest.raises(TypeError):
+            NerModel("multi_turn")
+
     def test_constructor_stores_values_verbatim_without_validation(self):
         model = NerModel(method="telepathy")
         assert model.method == "telepathy"

@@ -249,11 +249,27 @@ def echoes_with_spans(draw):
     return stripped, original, [(min(pair), max(pair), "x") for pair in pairs]
 
 
+@st.composite
+def echoes_with_starts(draw):
+    """A drifted echo, its original, and starts over the echo, the end
+    included."""
+    stripped, original = draw(drifted_echoes())
+    return stripped, original, draw(st.lists(st.integers(0, len(stripped)), max_size=25))
+
+
+_END_STRIPPED = " a aa aaaaaaaa aa a aaaa aaaa aaaaaaa baaaaaba"
+_END_ORIGINAL = "a aa aaaaaaaa a a a a aaaa aaaa aaaaaaaa abaaaaba a"
+
+
 class TestMapSpans:
     @given(echoes_with_spans())
     @settings(max_examples=300, deadline=None)
     # Two pairs inside a third, in the order they close.
     @example(("ab cd ef", "ab cx ef", [(0, 2, "x"), (3, 5, "x"), (0, 8, "x")]))
+    # A start at the end, alone in a trailing gap that is refined.
+    @example((_END_STRIPPED, _END_ORIGINAL, [(46, 46, "x")]))
+    # A start at the end after an empty trailing gap past the refine limit.
+    @example(("a", "a " + "x" * 300, [(1, 1, "x")]))
     def test_spans_in_any_order_map_like_one_offset_at_a_time(self, case):
         stripped, original, spans = case
         reference = _per_token_segments(stripped, original)
@@ -261,6 +277,18 @@ class TestMapSpans:
         assert align_texts(stripped, original, starts)[0] == [
             _reference_map_offset(reference, start, False) for start in starts
         ]
+
+    @given(echoes_with_starts())
+    @settings(max_examples=300, deadline=None)
+    # The end start shares the trailing gap with another start.
+    @example((_END_STRIPPED, _END_ORIGINAL, [45, 46]))
+    def test_each_start_maps_as_if_alone(self, case):
+        stripped, original, starts = case
+        alone = [align_texts(stripped, original, [start]) for start in starts]
+        assert align_texts(stripped, original, starts) == (
+            [mapped for (mapped,), _ in alone],
+            [reach for _, (reach,) in alone],
+        )
 
 
 @st.composite
@@ -1278,6 +1306,14 @@ class TestParseJsonAnswer:
         )
         assert doc.annotations == {Annotation(4, 8, "location")}
         assert report.warnings == (warning,)
+
+    def test_blank_mention_dropped_like_an_empty_one(self, pl_schema):
+        # Searched verbatim, a blank mention would annotate every space.
+        doc, report = parse_json_answer(
+            '{"person": [" ", "\\t\\n"], "location": ["Peru"]}', "Ana went to Peru", pl_schema
+        )
+        assert doc.annotations == {Annotation(12, 16, "location")}
+        assert report.warnings == ("empty mention for 'person' dropped",) * 2
 
     def test_repeated_mention_searched_and_warned_once(self, pl_schema):
         completion = '{"person": ["Ana", ["x"], "Ana", ["x"], "Bo", "Bo"], "location": []}'

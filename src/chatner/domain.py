@@ -177,6 +177,12 @@ def check_delimiters(delimiters: Sequence[str]) -> tuple[str, str]:
     return pair
 
 
+def inline_tags(label: str, delimiters: tuple[str, str] | None = None) -> tuple[str, str]:
+    """The opening and closing tag an in-line answer wraps a mention of
+    ``label`` in: the custom delimiters when given, else the label's tags."""
+    return delimiters or (f"<{label}>", f"</{label}>")
+
+
 @dataclass(frozen=True)
 class NerConfig:
     """Everything that shapes one annotation run, minus the schema.

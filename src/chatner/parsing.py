@@ -20,8 +20,13 @@ like JSON block extraction, takes near-linear time and recurses nowhere.
 Tokens come from ``str.split()``, which is all the work for a text with
 single spaces between its tokens; other texts, and tags, take one
 ``re.split`` each. No Python loop builds a string, an offset or an
-alignment piece per token, and no offset is stored per token. Tags are
-paired on a stack as they are read, in the pass that strips them.
+alignment piece per token, and no offset is stored per token. Every tag
+is read through one table and paired on a stack as it is read, in the
+pass that strips them; other tag-shaped text stays, with a warning unless
+the original holds it.
+
+A JSON answer's mentions are found by exact search, and each annotation is
+the listed mention without its surrounding whitespace.
 """
 
 from __future__ import annotations
@@ -33,12 +38,12 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, compress, count, cycle, islice, pairwise, repeat
+from itertools import accumulate, chain, compress, count, islice, pairwise
 from math import isqrt
 from operator import ne, not_, sub
 from typing import Callable, Sequence
 
-from .domain import AnnotatedDocument, Annotation, EntitySchema, check_delimiters
+from .domain import AnnotatedDocument, Annotation, EntitySchema, check_delimiters, inline_tags
 from .errors import ConfigError, ParseError
 
 _SPACE_RE = re.compile(r"(\s+)")
@@ -54,6 +59,10 @@ _DIFF_BUDGET = 1_000_000
 # Longest gap, in characters on either side, refined by difflib, whose cost
 # grows with the product of the two lengths; longer gaps map proportionally.
 _REFINE_LIMIT = 256
+
+# A tag-shaped run and its name; a slash takes the blanks after it, so no run splits two ways.
+_TAG_SHAPE_RE = re.compile(r"<\s*(?:/\s*)?([^\s<>/]+)\s*>")
+_UNREAD_TAGS_SHOWN = 16  # distinct names checked per reply, so the check stays linear
 
 
 @dataclass(frozen=True)
@@ -279,11 +288,19 @@ def align_texts(
 
 
 @lru_cache(maxsize=64)
-def _tag_pattern(labels: tuple[str, ...], delimiters: tuple[str, str] | None) -> re.Pattern:
-    """The tag pattern, longest alternative first; every tag is captured."""
-    alternatives = sorted(labels if delimiters is None else set(delimiters), key=len, reverse=True)
-    alternation = "|".join(map(re.escape, alternatives))
-    return re.compile(f"<(/?)({alternation})>" if delimiters is None else f"({alternation})")
+def _tag_table(
+    labels: tuple[str, ...], delimiters: tuple[str, str] | None
+) -> tuple[dict[str, tuple[str, bool | None]], re.Pattern]:
+    """Every tag mapped to its label and whether it closes, and one pattern
+    capturing any tag, longest first. Delimiters mark the first label; equal
+    ones map to ``None``: they close where their label is open, else open."""
+    table: dict[str, tuple[str, bool | None]] = {}
+    for label in labels[:1] if delimiters else labels:
+        open_, close = inline_tags(label, delimiters)
+        table[open_] = (label, False)
+        table[close] = (label, None if close == open_ else True)
+    alternation = "|".join(map(re.escape, sorted(table, key=len, reverse=True)))
+    return table, re.compile(f"({alternation})")
 
 
 def _scan_tags(
@@ -293,34 +310,23 @@ def _scan_tags(
 
     Returns the stripped text and the spans (start, end, label) in stripped
     offsets, in the order they close, and warns about stray and unmatched
-    tags. Without ``delimiters`` the tags are ``<label>`` and ``</label>``
-    for the given labels, and anything that merely looks like a tag stays in
-    the text untouched. With them, every delimiter marks the single label;
-    where both delimiters start at the same place the longer is read, and
-    equal delimiters alternate between opening and closing. One ``split`` on
-    the tag pattern gives the text between tags and the captured tags, so
-    the stripped text and the offsets are built in C. ``open_count`` tracks
-    the tags of each label on the stack, so a stray closing tag is found
-    without a scan, and a mis-nested one pops only the tags it drops.
+    tags. Every tag is read through one table (``_tag_table``); text that
+    merely looks like a tag stays in the text. One ``split`` gives the text
+    between tags and the tags, so the stripped text and the offsets are
+    built in C. ``open_count`` tracks the tags of each label on the stack,
+    so a stray closing tag is found without a scan, and a mis-nested one
+    pops only the tags it drops.
     """
-    pattern = _tag_pattern(tuple(labels), delimiters)
+    table, pattern = _tag_table(tuple(labels), delimiters)
     parts = pattern.split(completion)
-    step = pattern.groups + 1
-    texts = parts[::step]
+    texts = parts[::2]
     offsets = accumulate(map(len, texts[:-1]))
-    if delimiters is None:
-        closes = map(bool, parts[1::step])
-        names = parts[2::step]
-    else:
-        open_, close = delimiters
-        closes = cycle((False, True)) if open_ == close else map(close.__eq__, parts[1::step])
-        names = repeat(labels[0])
     stack: list[tuple[str, int]] = []
     open_count: dict[str, int] = {}
     spans: list[tuple[int, int, str]] = []
-    # zip stops with the offsets, one per tag.
-    for is_close, label, offset in zip(closes, names, offsets):
-        if not is_close:
+    for tag, offset in zip(parts[1::2], offsets):
+        label, closes = table[tag]
+        if not (closes or closes is None and open_count.get(label)):
             stack.append((label, offset))
             open_count[label] = open_count.get(label, 0) + 1
             continue
@@ -352,16 +358,14 @@ def _nearest_occurrence(text: str, needle: str, near: int) -> int:
     return before
 
 
-def _nonoverlapping_spans(text: str, needle: str) -> list[tuple[int, int]]:
-    """All non-overlapping occurrences, left to right."""
-    spans = []
-    start = 0
-    while True:
-        index = text.find(needle, start)
-        if index == -1:
-            return spans
-        spans.append((index, index + len(needle)))
-        start = index + len(needle)
+def _nonoverlapping_starts(text: str, needle: str) -> list[int]:
+    """Starts of all non-overlapping occurrences, left to right."""
+    starts = []
+    start = text.find(needle)
+    while start != -1:
+        starts.append(start)
+        start = text.find(needle, start + len(needle))
+    return starts
 
 
 def parse_inline(
@@ -372,16 +376,17 @@ def parse_inline(
 ) -> tuple[AnnotatedDocument, ParseReport]:
     """Recover annotations from a tag-annotated echo of ``original``.
 
-    Tags are read in one left-to-right scan and paired with a stack: the
-    default ``<label>`` tags for every schema label, or, when ``delimiters``
-    is given, one custom open/close pair bound to the schema's single label.
-    Where both delimiters start at the same place the longer is read, and
-    equal delimiters alternate between opening and closing. The stripped
-    echo is aligned against the original and each span is kept only where
-    the original holds its mention verbatim at the span's mapped start;
-    otherwise it is relocated by exact substring search or dropped with a
-    warning. Never raises on model output, only on misuse (delimiters that
-    are not two non-empty strings, or delimiters with a multi-label schema).
+    Tags are read in one left-to-right scan and paired with a stack: each
+    schema label's tags, or, when ``delimiters`` is given, one custom
+    open/close pair bound to the schema's single label. Where both
+    delimiters start at the same place the longer is read, and equal
+    delimiters alternate between opening and closing. Other tag-shaped text
+    stays, and warns for its first 16 names unless the original holds the
+    tag. The stripped echo is aligned against the original and a span kept
+    where the original holds its mention verbatim at its mapped start, else
+    relocated by exact substring search or dropped with a warning. Never
+    raises on model output, only on misuse (delimiters that are not two
+    non-empty strings, or delimiters with a multi-label schema).
     """
     if delimiters is not None:
         delimiters = check_delimiters(delimiters)
@@ -391,6 +396,15 @@ def parse_inline(
             )
     warnings: list[str] = []
     stripped, spans = _scan_tags(completion, schema.labels, delimiters, warnings)
+    if delimiters is None and "<" in stripped:
+        first_tags: dict[str, str] = {}  # name -> its first tag text
+        for match in _TAG_SHAPE_RE.finditer(stripped):
+            first_tags.setdefault(match[1], match[0])
+            if len(first_tags) == _UNREAD_TAGS_SHOWN:
+                break
+        for tag in first_tags.values():
+            if tag not in original:
+                warnings.append(f"tag {tag!r} is not read as a schema tag; left in the text")
     mapped, reach = align_texts(stripped, original, [start for start, _, _ in spans])
     annotations: set[Annotation] = set()
     for (start, end, label), at, verbatim_end in zip(spans, mapped, reach):
@@ -475,13 +489,14 @@ def parse_json_answer(
     such as ``{label: mentions}``, say), the first balanced block after it
     is decoded instead, and no further one. Each mention is located by
     exact, case-sensitive search in the original text, and every
-    non-overlapping occurrence is annotated. A mention listed again under
-    the same label is skipped, so it is searched and warned about once.
-    Mentions that fail verbatim are retried with surrounding whitespace
-    trimmed, then dropped with a warning; an empty or blank mention is
-    dropped with a warning at once. Unknown labels are dropped with a
-    warning. A missing or undecodable JSON block raises ParseError, also
-    when it nests too deep to decode.
+    non-overlapping occurrence is annotated without the mention's
+    surrounding whitespace. A mention listed again under the same label is
+    skipped, so it is searched and warned about once. Mentions that fail
+    verbatim are retried with surrounding whitespace trimmed, then dropped
+    with a warning; an empty or blank mention is dropped with a warning at
+    once. Unknown labels are dropped with a warning. A missing or
+    undecodable JSON block raises ParseError, also when it nests too deep
+    to decode.
     """
     block = extract_json_block(completion)
     if block is None:
@@ -520,21 +535,23 @@ def parse_json_answer(
             if not trimmed:
                 warnings.append(f"empty mention for {key!r} dropped")
                 continue
-            spans = _nonoverlapping_spans(original, mention)
-            if not spans and trimmed != mention:
-                spans = _nonoverlapping_spans(original, trimmed)
-                if spans:
+            starts = _nonoverlapping_starts(original, mention)
+            if not starts and trimmed != mention:
+                starts = _nonoverlapping_starts(original, trimmed)
+                if starts:
                     warnings.append(
                         f"mention {mention!r} matched after trimming whitespace"
                     )
                     mention = trimmed
-            if not spans:
+            if not starts:
                 warnings.append(
                     f"mention {mention!r} not found in the original text; dropped"
                 )
                 continue
-            for start, end in spans:
-                annotations.add(Annotation(start, end, key))
+            lead = len(mention) - len(mention.lstrip())
+            end = lead + len(trimmed)
+            for start in starts:
+                annotations.add(Annotation(start + lead, start + end, key))
     document = AnnotatedDocument(original, frozenset(annotations))
     return document, ParseReport(document.annotations, tuple(warnings))
 

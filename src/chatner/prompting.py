@@ -7,7 +7,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .domain import AnnotatedDocument, EntitySchema, NerConfig, check_spans
+from .domain import AnnotatedDocument, EntitySchema, NerConfig, check_spans, inline_tags
 from .errors import ConfigError, ConversationError, RenderError
 from .templates import PromptTemplateSet
 
@@ -97,12 +97,12 @@ def render_inline(
 ) -> str:
     """Render a document as its text with each mention wrapped in tags.
 
-    Default tags are ``<label>``/``</label>``. A custom delimiter pair wraps
-    mentions instead, which only works when the document carries a single
-    label (one pair cannot encode several entity types). Overlapping
-    annotations cannot be rendered in-line and raise RenderError, which names
-    the first overlapping pair in (start, end, label) order; touching spans
-    do not overlap.
+    Tags are the label's own or a custom delimiter pair (``inline_tags``);
+    a pair only works when the document carries a single label (one pair
+    cannot encode several entity types). Overlapping annotations cannot be
+    rendered in-line and raise RenderError, which names the first
+    overlapping pair in (start, end, label) order; touching spans do not
+    overlap.
     """
     try:
         check_spans(doc)
@@ -116,11 +116,8 @@ def render_inline(
             raise RenderError(
                 f"overlapping annotations cannot be rendered in-line: {previous} and {ann}"
             )
-        if delimiters is not None:
-            open_, close = delimiters
-        else:
-            open_, close = f"<{ann.label}>", f"</{ann.label}>"
-        parts += (doc.text[cursor : ann.start], open_, doc.text[ann.start : ann.end], close)
+        open_, close = inline_tags(ann.label, delimiters)
+        parts +=(doc.text[cursor : ann.start], open_, doc.text[ann.start : ann.end], close)
         cursor, previous = ann.end, ann
     if delimiters is not None:
         labels = {ann.label for ann in doc.annotations}

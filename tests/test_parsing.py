@@ -575,6 +575,41 @@ class TestParseInline:
     def test_unknown_tags_stay_literal(self, pl_schema):
         doc, report = parse_inline("<b>Ana</b> Peru", "Ana Peru", pl_schema)
         assert doc.annotations == frozenset()
+        assert report.warnings == ("tag '<b>' is not read as a schema tag; left in the text",)
+
+    @pytest.mark.parametrize(
+        "completion, unread",
+        [("<per>Ada</per> went to <loc>Rome</loc> .", ["<per>", "<loc>"]),
+         ("< PER >Ada</ PER > went to Rome .", ["< PER >"]),
+         ("</ LOC>Ada went to <PER >Rome</PER > .", ["</ LOC>", "<PER >"]),
+         ("<PER>Ada</PER> went to <ORG>Rome</ORG> .", ["<ORG>"])],
+        ids=["lower case", "blanks inside", "closing first", "unknown label"],
+    )
+    def test_unread_tags_warn_once_per_name(self, completion, unread):
+        schema = EntitySchema({"PER": "People.", "LOC": "Places."})
+        doc, report = parse_inline(completion, "Ada went to Rome .", schema)
+        kept = {Annotation(0, 3, "PER")} if completion.startswith("<PER>") else set()
+        assert doc.annotations == kept
+        assert report.warnings == tuple(
+            f"tag {tag!r} is not read as a schema tag; left in the text" for tag in unread
+        )
+
+    def test_tag_shaped_text_of_the_original_is_not_warned(self, pl_schema):
+        doc, report = parse_inline("<person>a<b>c</person> d", "a<b>c d", pl_schema)
+        assert doc.annotations == {Annotation(0, 5, "person")}
+        assert report.warnings == ()
+
+    def test_unread_tags_are_checked_for_the_first_names_only(self, pl_schema):
+        completion = " ".join(f"<t{i}>x</t{i}>" for i in range(20))
+        _, report = parse_inline(completion, "x " * 20, pl_schema)
+        assert report.warnings == tuple(
+            f"tag '<t{i}>' is not read as a schema tag; left in the text" for i in range(16)
+        )
+
+    def test_tag_shaped_text_is_not_checked_with_delimiters(self):
+        schema = EntitySchema({"x": "Anything."})
+        doc, report = parse_inline("@@Ada## <b>met</b> Bob", "Ada met Bob", schema, ("@@", "##"))
+        assert doc.annotations == {Annotation(0, 3, "x")}
         assert report.warnings == ()
 
     def test_stray_closing_tag_warned(self, pl_schema):
@@ -926,8 +961,9 @@ def _whitespace_runs(n):
 # 4.4-7.6, too near the bound to tell linear from quadratic. Drifted echoes
 # are left out too: their alignment crosses _DIFF_BUDGET between n and 4n.
 # parse_inline on nested tags starts at a size whose run took 120 ms: slicing
-# every mention read 10.8 there, and 8.5 at half the size.
-INLINE_GROWTH_FAMILIES = {
+# every mention read 10.8 there, and 8.5 at half the size. Only the first
+# names of unread tags are looked up in the original, each by one search.
+PARSE_GROWTH_FAMILIES = {
     "tags nested to full depth": (
         80_000, _nested_tags, lambda completion: parsing._scan_tags(completion, ("x",), None, [])
     ),
@@ -943,6 +979,16 @@ INLINE_GROWTH_FAMILIES = {
     ),
     "whitespace runs": (
         40_000, _whitespace_runs, lambda texts: align_texts(*texts, range(len(texts[0])))
+    ),
+    "parse_inline on distinct unread tag names": (
+        100_000,
+        lambda n: (" ".join(f"<t{i}>w</t{i}>" for i in range(n)), " ".join(["w"] * n)),
+        lambda case: parse_inline(*case, EntitySchema({"x": "Xs."})),
+    ),
+    "parse_json_answer on one mention listed n times": (
+        40_000,
+        lambda n: ('{"x": [' + ", ".join(['"a"'] * n) + "]}", "a " * n),
+        lambda case: parse_json_answer(*case, EntitySchema({"x": "Xs."})),
     ),
 }
 
@@ -1003,10 +1049,20 @@ class TestAdversarialSizes:
         assert report.warnings == ()
         assert doc.annotations == {Annotation(2 * k, len(original), "x") for k in range(n)}
 
-    @pytest.mark.parametrize("family", sorted(INLINE_GROWTH_FAMILIES))
+    @pytest.mark.parametrize("family", sorted(PARSE_GROWTH_FAMILIES))
     def test_time_grows_linearly(self, family):
-        n, make, run = INLINE_GROWTH_FAMILIES[family]
+        n, make, run = PARSE_GROWTH_FAMILIES[family]
         assert_time_grows_linearly(run, make, n, family)
+
+    def test_tag_shape_after_a_long_blank_run_within_bounds(self):
+        # A pattern that let a run of blanks before and after an optional
+        # slash be split two ways read this in quadratic time: 0.7 s at
+        # 8,000 blanks on a 2-vCPU machine, and minutes at 200,000.
+        text = "<" + " " * 200_000 + "x"
+        _, report = self._timed(
+            "a long blank run after '<'", lambda: parse_inline(text, text, self.SCHEMA)
+        )
+        assert report.warnings == ()
 
     def test_decoy_blocks_within_bounds(self):
         # Every block leaves an unclosed brace before it, so each scan for a
@@ -1285,6 +1341,17 @@ class TestParseJsonAnswer:
             '{"person": [" Ana "], "location": []}', "Ana Peru", pl_schema
         )
         assert doc.annotations == {Annotation(0, 3, "person")}
+
+    def test_padded_mention_annotated_without_its_padding(self, pl_schema):
+        # The padded form occurs verbatim here, so no trim retry is needed,
+        # and each of its occurrences is annotated from "A" to "a".
+        completion = '{"person": [" Ana\\t", "Bo"], "location": []}'
+        doc, report = parse_json_answer(completion, "Yesterday Ana\tmet Bo , Ana\t.", pl_schema)
+        assert doc.annotations == {
+            Annotation(10, 13, "person"), Annotation(18, 20, "person"),
+            Annotation(23, 26, "person"),
+        }
+        assert report.warnings == ()
 
     def test_string_value_coerced_to_single_mention(self, pl_schema):
         doc, report = parse_json_answer(
